@@ -2,14 +2,17 @@
  * @file
  * bench_shots - wall-clock payoff of shot batching, emitted as JSON.
  * For each benchmark family, 1024 noisy shots run twice through the
- * full Q-GPU engine: once per-shot (the naive baseline -- every shot
- * reorders, plans, and streams its own materialized circuit) and once
- * shared (the schedule is built once and replayed per shot, splitting
- * sweeps only where a sampled error lands). Both paths produce
- * bit-identical outcomes -- the batched-differential suite pins that
- * -- so the only thing measured here is the schedule-reuse speedup.
- * Each row records both wall times, the shared-schedule build time,
- * the speedup, and the batch counters (events, sweep replays/splits).
+ * full Q-GPU engine at all hardware threads: once per-shot (the naive
+ * baseline -- every shot reorders, plans, and streams its own
+ * materialized circuit, one shot after another) and once shared (the
+ * schedule is built once and replayed per shot, splitting sweeps only
+ * where a sampled error lands, with shots fanned out across the
+ * thread pool). Both paths produce bit-identical outcomes -- the
+ * batched-differential suite pins that -- so the speedup measured
+ * here is schedule reuse times the shot fan-out. Each row records
+ * both wall times, the shared-schedule build time, the speedup, and
+ * the batch counters (events, sweep replays/splits); the header
+ * records how many shared-mode shots ran at once ("shots_in_flight").
  *
  * Usage: bench_shots [output.json] [--qubits n] [--shots n]
  *                    [--engine name] [--noise spec]
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/cacheinfo.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "engine/batched.hh"
@@ -145,6 +149,9 @@ main(int argc, char **argv)
     out << "{\"bench\": \"shots\", \"engine\": \"" << engine
         << "\", \"qubits\": " << qubits << ", \"shots\": " << shots
         << ", \"noise_spec\": \"" << noise << "\""
+        << ", \"shots_in_flight\": "
+        << shotsInFlight(stateBytes(qubits), hostRamBytes(),
+                         simThreads())
         << bench::hardwareThreadsJson(hw);
     out << ",\n \"entries\": [";
     for (std::size_t i = 0; i < rows.size(); ++i) {

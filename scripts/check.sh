@@ -137,7 +137,7 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     cmake --build "$TSAN_DIR" -j "$JOBS" --target test_common \
         test_statevec test_compress test_thread_determinism \
         test_sweep_executor test_shard_differential test_service \
-        test_batched_differential
+        test_batched_differential test_observability
     # The parallelism-focused suites: the pool itself, the pool-backed
     # parallelFor / threaded apply, the cross-thread determinism +
     # stress tests, the sweep executor (whose group fan-out chains
@@ -147,9 +147,11 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     # cross-thread cache/single-flight traffic, and engine runs
     # multiplexed onto the shared pool), and the batched-shot
     # differential (noisy shots replayed at 1 and 4 host threads must
-    # stay bit-identical while the apply path fans out).
+    # stay bit-identical while the shots fan out across the pool), and
+    # the metrics registry (lock-free atomic slots updated from many
+    # threads at once, by name and through cached references).
     ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|TaskGroup|SimThreads|ParallelFor|ThreadedApply|Determinism|Stress|Sweep|ShardDifferential|Service|ResultCache|Batched'
+        -R 'ThreadPool|TaskGroup|SimThreads|ParallelFor|ThreadedApply|Determinism|Stress|Sweep|ShardDifferential|Service|ResultCache|Batched|Metrics'
 fi
 
 if [ "$RUN_ASAN" -eq 1 ]; then

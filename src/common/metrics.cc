@@ -1,6 +1,7 @@
 #include "common/metrics.hh"
 
 #include <algorithm>
+#include <mutex>
 #include <sstream>
 
 #include "common/trace.hh"
@@ -54,6 +55,50 @@ Histogram::mean() const
     return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
+void
+HistogramSlot::observe(double value)
+{
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    double seen = min_.load(std::memory_order_relaxed);
+    while (value < seen &&
+           !min_.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed))
+    {
+    }
+    seen = max_.load(std::memory_order_relaxed);
+    while (value > seen &&
+           !max_.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed))
+    {
+    }
+    if (!visible_.load(std::memory_order_relaxed))
+        visible_.store(true, std::memory_order_relaxed);
+}
+
+Histogram
+HistogramSlot::snapshot() const
+{
+    Histogram h;
+    h.count_ = count_.load(std::memory_order_relaxed);
+    h.sum_ = sum_.load(std::memory_order_relaxed);
+    h.min_ = min_.load(std::memory_order_relaxed);
+    h.max_ = max_.load(std::memory_order_relaxed);
+    return h;
+}
+
+void
+HistogramSlot::reset()
+{
+    visible_.store(false, std::memory_order_relaxed);
+    count_.store(0, std::memory_order_relaxed);
+    sum_.store(0.0, std::memory_order_relaxed);
+    min_.store(std::numeric_limits<double>::infinity(),
+               std::memory_order_relaxed);
+    max_.store(-std::numeric_limits<double>::infinity(),
+               std::memory_order_relaxed);
+}
+
 MetricsRegistry &
 MetricsRegistry::global()
 {
@@ -61,82 +106,126 @@ MetricsRegistry::global()
     return registry;
 }
 
+template <class Slot>
+Slot &
+MetricsRegistry::slot(SlotMap<Slot> &slots, const std::string &name)
+{
+    {
+        std::shared_lock<std::shared_mutex> lock(mutex_);
+        const auto it = slots.find(name);
+        if (it != slots.end())
+            return *it->second;
+    }
+    std::unique_lock<std::shared_mutex> lock(mutex_);
+    auto &entry = slots[name];
+    if (!entry)
+        entry = std::make_unique<Slot>();
+    return *entry;
+}
+
+template <class Slot>
+const Slot *
+MetricsRegistry::find(const SlotMap<Slot> &slots,
+                      const std::string &name) const
+{
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    const auto it = slots.find(name);
+    return it == slots.end() ? nullptr : it->second.get();
+}
+
+CounterSlot &
+MetricsRegistry::counterSlot(const std::string &name)
+{
+    return slot(counters_, name);
+}
+
+HistogramSlot &
+MetricsRegistry::histogramSlot(const std::string &name)
+{
+    return slot(histograms_, name);
+}
+
 void
 MetricsRegistry::add(const std::string &name, double delta)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_[name] += delta;
+    counterSlot(name).add(delta);
 }
 
 double
 MetricsRegistry::counter(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0.0 : it->second;
+    const CounterSlot *c = find(counters_, name);
+    return c ? c->value() : 0.0;
 }
 
 void
 MetricsRegistry::observe(const std::string &name, double value)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    histograms_[name].observe(value);
+    histogramSlot(name).observe(value);
 }
 
 Histogram
 MetricsRegistry::histogram(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? Histogram{} : it->second;
+    const HistogramSlot *h = find(histograms_, name);
+    return h ? h->snapshot() : Histogram{};
 }
 
 std::vector<std::string>
 MetricsRegistry::counterNames() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_lock<std::shared_mutex> lock(mutex_);
     std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto &[name, value] : counters_)
-        names.push_back(name);
+    for (const auto &[name, c] : counters_)
+        if (c->visible_.load(std::memory_order_relaxed))
+            names.push_back(name);
     return names;
 }
 
 std::vector<std::string>
 MetricsRegistry::histogramNames() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_lock<std::shared_mutex> lock(mutex_);
     std::vector<std::string> names;
-    names.reserve(histograms_.size());
-    for (const auto &[name, hist] : histograms_)
-        names.push_back(name);
+    for (const auto &[name, h] : histograms_)
+        if (h->visible_.load(std::memory_order_relaxed))
+            names.push_back(name);
     return names;
 }
 
 void
 MetricsRegistry::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.clear();
-    histograms_.clear();
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    for (auto &[name, c] : counters_) {
+        c->visible_.store(false, std::memory_order_relaxed);
+        c->value_.store(0.0, std::memory_order_relaxed);
+    }
+    for (auto &[name, h] : histograms_)
+        h->reset();
 }
 
 std::string
 MetricsRegistry::toJson() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_lock<std::shared_mutex> lock(mutex_);
     std::ostringstream os;
     os.precision(12);
     os << "{\"counters\": {";
     bool first = true;
-    for (const auto &[name, value] : counters_) {
+    for (const auto &[name, c] : counters_) {
+        if (!c->visible_.load(std::memory_order_relaxed))
+            continue;
         os << (first ? "" : ", ") << '"' << jsonEscape(name)
-           << "\": " << value;
+           << "\": " << c->value();
         first = false;
     }
     os << "}, \"histograms\": {";
     first = true;
-    for (const auto &[name, hist] : histograms_) {
+    for (const auto &[name, h] : histograms_) {
+        if (!h->visible_.load(std::memory_order_relaxed))
+            continue;
+        const Histogram hist = h->snapshot();
         os << (first ? "" : ", ") << '"' << jsonEscape(name)
            << "\": {\"count\": " << hist.count()
            << ", \"sum\": " << hist.sum()
@@ -152,17 +241,25 @@ MetricsRegistry::toJson() const
 std::string
 MetricsRegistry::toCsv() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_lock<std::shared_mutex> lock(mutex_);
     std::ostringstream os;
     os.precision(12);
     os << "kind,name,count,sum,min,max,mean\n";
-    for (const auto &[name, value] : counters_)
+    for (const auto &[name, c] : counters_) {
+        if (!c->visible_.load(std::memory_order_relaxed))
+            continue;
+        const double value = c->value();
         os << "counter," << name << ",1," << value << ',' << value
            << ',' << value << ',' << value << '\n';
-    for (const auto &[name, hist] : histograms_)
+    }
+    for (const auto &[name, h] : histograms_) {
+        if (!h->visible_.load(std::memory_order_relaxed))
+            continue;
+        const Histogram hist = h->snapshot();
         os << "histogram," << name << ',' << hist.count() << ','
            << hist.sum() << ',' << hist.min() << ',' << hist.max()
            << ',' << hist.mean() << '\n';
+    }
     return os.str();
 }
 

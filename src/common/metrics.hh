@@ -109,15 +109,37 @@
  *                               in-flight leader instead of running
  *   service.queue_depth         gauge via +-1 deltas: jobs currently
  *                               queued (not yet dispatched)
+ *
+ * Slot model. Every name owns one heap slot (CounterSlot or
+ * HistogramSlot) created on first use and never freed or moved while
+ * the registry lives; the slot is the metric's only storage. Updates
+ * are relaxed atomics on the slot (fetch-add for counters and sums,
+ * compare-exchange for histogram min/max), so they never take the
+ * registry lock. The lock guards only the name -> slot maps: add() and
+ * observe() by name take it shared to find the slot, and a first use
+ * takes it exclusively to insert one. Hot paths resolve their slots
+ * once (counterSlot / histogramSlot, typically into a function-local
+ * static) and update them with no lookup at all: the kernel counters,
+ * the sweep.* counters and apply.wall_time are recorded this way from
+ * every worker of a shot fan-out at once.
+ *
+ * clear() zeroes every slot and hides it; it never erases one, so a
+ * slot reference cached before clear() stays valid. A hidden name is
+ * absent from counterNames(), histogramNames(), toJson() and toCsv()
+ * until its next update. Resolving a slot does not count as an
+ * update: a slot nobody has written is hidden too.
  */
 
 #ifndef QGPU_COMMON_METRICS_HH
 #define QGPU_COMMON_METRICS_HH
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <mutex>
+#include <memory>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -164,6 +186,8 @@ class Histogram
     double mean() const;
 
   private:
+    friend class HistogramSlot;
+
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;
@@ -171,8 +195,63 @@ class Histogram
 };
 
 /**
- * Named counters and histograms. Instances are independent (tests use
- * their own); global() is the process-wide registry.
+ * Storage of one registry counter: a lock-free atomic sum. Obtained
+ * from MetricsRegistry::counterSlot and valid for the registry's
+ * lifetime. Cache-line aligned so hot slots updated from different
+ * workers do not share a line.
+ */
+class alignas(64) CounterSlot
+{
+  public:
+    void
+    add(double delta = 1.0)
+    {
+        value_.fetch_add(delta, std::memory_order_relaxed);
+        if (!visible_.load(std::memory_order_relaxed))
+            visible_.store(true, std::memory_order_relaxed);
+    }
+
+    double value() const { return value_.load(std::memory_order_relaxed); }
+
+  private:
+    friend class MetricsRegistry;
+
+    std::atomic<double> value_{0.0};
+    std::atomic<bool> visible_{false};
+};
+
+/**
+ * Storage of one registry histogram: count, sum, min and max as
+ * separate atomics (a snapshot taken during concurrent observes may
+ * mix values from before and after one of them). Obtained from
+ * MetricsRegistry::histogramSlot; same lifetime and alignment as
+ * CounterSlot.
+ */
+class alignas(64) HistogramSlot
+{
+  public:
+    void observe(double value);
+
+    /** The summary as a plain Histogram. */
+    Histogram snapshot() const;
+
+  private:
+    friend class MetricsRegistry;
+
+    /** Zero and hide (MetricsRegistry::clear). */
+    void reset();
+
+    std::atomic<std::uint64_t> count_{0};
+    std::atomic<double> sum_{0.0};
+    std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+    std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+    std::atomic<bool> visible_{false};
+};
+
+/**
+ * Named counters and histograms in stable slots (see the slot model
+ * above). Instances are independent (tests use their own); global()
+ * is the process-wide registry.
  */
 class MetricsRegistry
 {
@@ -192,10 +271,19 @@ class MetricsRegistry
     /** Copy of histogram @p name; empty histogram if absent. */
     Histogram histogram(const std::string &name) const;
 
+    /**
+     * The slot of counter / histogram @p name, created hidden if
+     * absent. The reference stays valid for the registry's lifetime,
+     * across clear().
+     */
+    CounterSlot &counterSlot(const std::string &name);
+    HistogramSlot &histogramSlot(const std::string &name);
+
+    /** Names updated since creation or the last clear(), sorted. */
     std::vector<std::string> counterNames() const;
     std::vector<std::string> histogramNames() const;
 
-    /** Drop every counter and histogram. */
+    /** Zero and hide every counter and histogram (slots survive). */
     void clear();
 
     /** {"counters": {...}, "histograms": {name: {summary...}}}. */
@@ -205,9 +293,20 @@ class MetricsRegistry
     std::string toCsv() const;
 
   private:
-    mutable std::mutex mutex_;
-    std::map<std::string, double> counters_;
-    std::map<std::string, Histogram> histograms_;
+    template <class Slot>
+    using SlotMap = std::map<std::string, std::unique_ptr<Slot>>;
+
+    template <class Slot>
+    Slot &slot(SlotMap<Slot> &slots, const std::string &name);
+
+    template <class Slot>
+    const Slot *find(const SlotMap<Slot> &slots,
+                     const std::string &name) const;
+
+    /** Guards the maps' structure; slot contents are atomics. */
+    mutable std::shared_mutex mutex_;
+    SlotMap<CounterSlot> counters_;
+    SlotMap<HistogramSlot> histograms_;
 };
 
 } // namespace qgpu

@@ -102,8 +102,13 @@ ThreadPool::global()
 int
 ThreadPool::hardwareThreads()
 {
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<int>(n);
+    // Probed once: hardware_concurrency() reads sysfs on every call,
+    // and parallelFor asks on every dispatch.
+    static const int threads = [] {
+        const unsigned n = std::thread::hardware_concurrency();
+        return n == 0 ? 1 : static_cast<int>(n);
+    }();
+    return threads;
 }
 
 TaskGroup::TaskGroup(ThreadPool &pool) : pool_(pool)

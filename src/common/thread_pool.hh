@@ -79,7 +79,8 @@ class ThreadPool
      */
     static ThreadPool &global();
 
-    /** max(1, std::thread::hardware_concurrency()). */
+    /** max(1, std::thread::hardware_concurrency()), probed once per
+     *  process (the probe is a sysfs read). */
     static int hardwareThreads();
 
   private:

@@ -1,10 +1,14 @@
 #include "engine/batched.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "common/bits.hh"
+#include "common/cacheinfo.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "fault/injector.hh"
 #include "fault/integrity.hh"
@@ -53,6 +57,111 @@ class ScopedBatchOptions
     ExecOptions &options_;
     ExecOptions saved_;
 };
+
+/** Shots per fan-out block (bounds the live ShotSlots). */
+constexpr std::uint64_t kShotBlock = 1024;
+
+/** What every Shared-mode shot of one batch reads (never writes). */
+struct SharedShotContext
+{
+    const ShotPlan &plan;
+    const noise::NoiseModel &model;
+    const ExecOptions &options;
+    FaultSpec faults;
+};
+
+/**
+ * One Shared-mode shot's results. Written only by the worker that ran
+ * the shot; runBatched folds the slots in shot order, so stats carries
+ * exactly the adds the shot made, in the order it made them.
+ */
+struct ShotSlot
+{
+    Index outcome = 0;
+    StatSet stats;
+    std::optional<StateVector> state;
+    std::optional<SimError> error;
+};
+
+/**
+ * Run one Shared-mode shot seeded with @p seed: sample its errors,
+ * replay the plan's sweeps on a fresh state with the errors inserted,
+ * then draw the outcome and readout flips. Every draw comes from the
+ * shot's own RNG on the calling thread, in the documented order.
+ */
+void
+runSharedShot(const SharedShotContext &ctx, std::uint64_t seed,
+              ShotSlot &slot)
+{
+    const ShotPlan &plan = ctx.plan;
+    const std::span<const Gate> gates(plan.ordered.gates());
+    const int n = plan.ordered.numQubits();
+    Rng rng(seed);
+    const auto events = ctx.model.sample(gates, rng);
+    slot.stats.add(statkeys::noiseEvents,
+                   static_cast<double>(events.size()));
+    try {
+        FaultInjector injector(ctx.faults, ctx.options.faultSeed);
+        ChunkedStateVector state(
+            n, plan.chunkBits,
+            makeStorageConfig(ctx.options, &injector));
+        if (ctx.options.precision != Precision::f64)
+            state.setPrecision(ctx.options.precision,
+                               ctx.options.adaptiveThreshold);
+
+        std::size_t ev = 0;
+        for (const PlanSweep &ps : plan.sweeps) {
+            std::size_t at = ps.begin;
+            while (at < ps.end) {
+                // Replay up to the next error insertion (or the sweep
+                // end); a mid-sweep insertion splits the replay into
+                // sub-spans, all run with the sweep's signature and
+                // predicate.
+                std::size_t stop = ps.end;
+                if (ev < events.size() &&
+                    events[ev].gateIndex + 1 < ps.end)
+                    stop = events[ev].gateIndex + 1;
+                if (stop < ps.end)
+                    slot.stats.add(statkeys::shotsSweepSplits, 1.0);
+                applySweepChunked(
+                    state, gates.subspan(at, stop - at), ps.globalBits,
+                    deadPredicate(plan.prune, ps.liveBits,
+                                  plan.chunkBits));
+                slot.stats.add(statkeys::shotsSweepReplays, 1.0);
+                // Errors attached at the sub-span's last gate.
+                // Boundary insertions see postBits (their arming, by
+                // construction, is only ever needed there); mid-sweep
+                // insertions touch already-live qubits.
+                const std::uint64_t live =
+                    stop == ps.end ? ps.postBits : ps.liveBits;
+                while (ev < events.size() &&
+                       events[ev].gateIndex == stop - 1) {
+                    applyGateChunked(
+                        state, events[ev].gate,
+                        deadPredicate(plan.prune, live,
+                                      plan.chunkBits));
+                    ++ev;
+                }
+                at = stop;
+            }
+            state.refreshPrecision();
+        }
+
+        slot.outcome = sampleOutcome(state, rng);
+        if (ctx.model.readoutArmed()) {
+            const Index flips = ctx.model.sampleReadoutFlips(n, rng);
+            slot.stats.add(statkeys::noiseReadoutFlips,
+                           static_cast<double>(bits::popcount(flips)));
+            slot.outcome ^= flips;
+        }
+        if (ctx.options.keepShotStates)
+            slot.state = state.toFlat();
+        slot.stats.add(statkeys::shotsTotal, 1.0);
+    } catch (const SimException &e) {
+        slot.error = e.error();
+        slot.stats.add(intkeys::simErrors, 1.0);
+    }
+}
 
 } // namespace
 
@@ -104,6 +213,17 @@ buildShotPlan(const Circuit &circuit, const ExecOptions &options,
         at = sw.end;
     }
     return plan;
+}
+
+int
+shotsInFlight(std::uint64_t state_bytes, std::uint64_t ram_bytes,
+              int threads)
+{
+    const std::uint64_t budget = ram_bytes / 4;
+    const std::uint64_t fit = std::max<std::uint64_t>(
+        1, budget / std::max<std::uint64_t>(1, state_bytes));
+    return static_cast<int>(
+        std::min<std::uint64_t>(std::max(1, threads), fit));
 }
 
 BatchResult
@@ -183,88 +303,54 @@ ExecutionEngine::runBatched(const Circuit &circuit,
                      static_cast<double>(plan.sweeps.size()));
         br.stats.set(statkeys::noiseArmedSites,
                      static_cast<double>(plan.armedSites));
-        const std::span<const Gate> gates(plan.ordered.gates());
 
         std::optional<ScopedKernelTier> tier;
         if (options_.fastMath && kernelTier() != KernelTier::Fast)
             tier.emplace(KernelTier::Fast);
 
-        for (std::uint64_t s = 0; s < shots && br.ok(); ++s) {
-            Rng rng(seed_for(s));
-            const auto events = model.sample(gates, rng);
-            br.stats.add(statkeys::noiseEvents,
-                         static_cast<double>(events.size()));
-            try {
-                FaultInjector injector(
-                    FaultSpec::resolve(options_.faultSpec),
-                    options_.faultSeed);
-                ChunkedStateVector state(
-                    n, plan.chunkBits,
-                    makeStorageConfig(options_, &injector));
-                if (options_.precision != Precision::f64)
-                    state.setPrecision(options_.precision,
-                                       options_.adaptiveThreshold);
-
-                std::size_t ev = 0;
-                for (const PlanSweep &ps : plan.sweeps) {
-                    std::size_t at = ps.begin;
-                    while (at < ps.end) {
-                        // Replay up to the next error insertion (or
-                        // the sweep end); a mid-sweep insertion
-                        // splits the replay into sub-spans, all run
-                        // with the sweep's signature and predicate.
-                        std::size_t stop = ps.end;
-                        if (ev < events.size() &&
-                            events[ev].gateIndex + 1 < ps.end)
-                            stop = events[ev].gateIndex + 1;
-                        if (stop < ps.end)
-                            br.stats.add(statkeys::shotsSweepSplits,
-                                         1.0);
-                        applySweepChunked(
-                            state, gates.subspan(at, stop - at),
-                            ps.globalBits,
-                            deadPredicate(plan.prune, ps.liveBits,
-                                          plan.chunkBits));
-                        br.stats.add(statkeys::shotsSweepReplays,
-                                     1.0);
-                        // Errors attached at the sub-span's last
-                        // gate. Boundary insertions see postBits
-                        // (their arming, by construction, is only
-                        // ever needed there); mid-sweep insertions
-                        // touch already-live qubits.
-                        const std::uint64_t live =
-                            stop == ps.end ? ps.postBits
-                                           : ps.liveBits;
-                        while (ev < events.size() &&
-                               events[ev].gateIndex == stop - 1) {
-                            applyGateChunked(
-                                state, events[ev].gate,
-                                deadPredicate(plan.prune, live,
-                                              plan.chunkBits));
-                            ++ev;
+        const SharedShotContext ctx{
+            plan, model, options_,
+            FaultSpec::resolve(options_.faultSpec)};
+        const int workers =
+            shotsInFlight(stateBytes(n), hostRamBytes(), simThreads());
+        // Shots run in blocks so the per-shot slots stay bounded for
+        // huge batches; each block fans out over `workers` pool tasks
+        // pulling shot indices in order, then folds in shot order.
+        for (std::uint64_t base = 0; base < shots && br.ok();
+             base += kShotBlock) {
+            const std::uint64_t count =
+                std::min(kShotBlock, shots - base);
+            std::vector<ShotSlot> slots(count);
+            std::atomic<std::uint64_t> next{0};
+            std::atomic<std::uint64_t> first_failed{count};
+            parallelFor(
+                0, static_cast<std::uint64_t>(workers), workers,
+                [&](std::uint64_t, std::uint64_t) {
+                    for (std::uint64_t i;
+                         (i = next.fetch_add(1)) < count &&
+                         i < first_failed.load();) {
+                        runSharedShot(ctx, seed_for(base + i),
+                                      slots[i]);
+                        if (!slots[i].error)
+                            continue;
+                        std::uint64_t seen = first_failed.load();
+                        while (i < seen &&
+                               !first_failed.compare_exchange_weak(
+                                   seen, i)) {
                         }
-                        at = stop;
                     }
-                    state.refreshPrecision();
+                },
+                1);
+            for (ShotSlot &slot : slots) {
+                br.stats.merge(slot.stats);
+                if (slot.error) {
+                    br.error = std::move(slot.error);
+                    break;
                 }
-
-                Index outcome = sampleOutcome(state, rng);
-                if (model.readoutArmed()) {
-                    const Index flips =
-                        model.sampleReadoutFlips(n, rng);
-                    br.stats.add(statkeys::noiseReadoutFlips,
-                                 static_cast<double>(
-                                     bits::popcount(flips)));
-                    outcome ^= flips;
-                }
-                br.outcomes.push_back(outcome);
-                ++br.counts[outcome];
-                if (options_.keepShotStates)
-                    br.states.push_back(state.toFlat());
-                br.stats.add(statkeys::shotsTotal, 1.0);
-            } catch (const SimException &e) {
-                br.error = e.error();
-                br.stats.add(intkeys::simErrors, 1.0);
+                br.outcomes.push_back(slot.outcome);
+                ++br.counts[slot.outcome];
+                if (slot.state)
+                    br.states.push_back(std::move(*slot.state));
             }
         }
     }

@@ -9,13 +9,29 @@
  * ## Determinism contract
  *
  * Shot i runs on its own RNG, seeded with splitSeed(base, i). Every
- * stochastic draw — error sampling, the outcome draw, readout flips —
- * happens on the single-threaded driver path in the documented order
- * (noise/model.hh), so a (circuit, options, noise spec, seed) tuple
- * reproduces outcomes bit-identically across host thread counts,
- * device counts, and chunk storage backends. Per-shot states obey
- * the repo-wide bit-identity contract: a noisy shot equals a flat
- * gate-by-gate replay of its expanded circuit at tolerance 0.
+ * stochastic draw of a shot — error sampling, the outcome draw,
+ * readout flips — runs in the documented order (noise/model.hh) on the
+ * one worker that runs that shot, so a (circuit, options, noise spec,
+ * seed) tuple reproduces outcomes bit-identically across host thread
+ * counts, device counts, and chunk storage backends. Per-shot states
+ * obey the repo-wide bit-identity contract: a noisy shot equals a
+ * flat gate-by-gate replay of its expanded circuit at tolerance 0.
+ *
+ * ## Shot fan-out (Shared mode)
+ *
+ * Shared-mode shots run concurrently on the process-wide pool,
+ * shotsInFlight() at a time: one per simulator thread, but no more
+ * fresh states than a quarter of host RAM holds. Each shot writes its
+ * outcome, counters, optional state and optional SimError into its
+ * own slot; the slots are folded in shot order, so the BatchResult
+ * (outcomes, counts, stats, states, error) is exactly the serial
+ * loop's. When a shot fails, workers start no later shot; the result
+ * keeps the shots before the first failing one and that shot's error.
+ * Shots already running past it still finish, so process-wide
+ * registry totals such as kernel.* may include their work (the
+ * mirrored shots.* / noise.* counters never do). PerShot mode stays
+ * serial: it is the reference path, and it runs ExecutionEngine::run
+ * under temporarily rewritten options.
  *
  * ## Noise × pruning
  *
@@ -140,6 +156,14 @@ struct ShotPlan
 ShotPlan buildShotPlan(const Circuit &circuit,
                        const ExecOptions &options, int chunk_bits,
                        const noise::NoiseModel &model);
+
+/**
+ * Shared-mode shots run at once for @p state_bytes states on a host
+ * with @p ram_bytes of RAM and @p threads simulator threads:
+ * min(threads, max(1, ram_bytes / 4 / state_bytes)), at least 1.
+ */
+int shotsInFlight(std::uint64_t state_bytes, std::uint64_t ram_bytes,
+                  int threads);
 
 } // namespace qgpu
 

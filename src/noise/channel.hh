@@ -14,11 +14,12 @@
  * of the same expanded circuit are all bit-identical.
  *
  * Draw-path determinism (the fault-injector pattern,
- * fault/injector.hh): all sampling happens on the single-threaded
- * scheduling path from one seeded RNG in documented order, so a given
- * (model, seed, circuit) tuple inserts exactly the same error gates
- * on every run — across host thread counts, device counts, and chunk
- * storage backends.
+ * fault/injector.hh): a shot's sampling runs on the one worker that
+ * runs that shot, from the shot's own seeded RNG in documented order,
+ * so a given (model, seed, circuit) tuple inserts exactly the same
+ * error gates on every run — across host thread counts, device
+ * counts, and chunk storage backends. Shots fan out across the pool
+ * and are folded back in shot order (engine/batched.hh).
  */
 
 #ifndef QGPU_NOISE_CHANNEL_HH

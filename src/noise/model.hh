@@ -34,7 +34,9 @@
  *   4. idle (per configured qubit, ascending)
  * then ONE outcome draw (statevec/measure.hh sampleOutcome), then
  * readout flips (ascending qubit, armed qubits only). All draws come
- * from one per-shot RNG on the single-threaded scheduling path.
+ * from one per-shot RNG, in this order, on the one worker that runs
+ * the shot. Shots themselves may run concurrently (engine/batched.hh:
+ * the Shared-mode fan-out, folded back in shot order).
  */
 
 #ifndef QGPU_NOISE_MODEL_HH

@@ -57,6 +57,29 @@ GatePlan::members(Index group) const
 namespace
 {
 
+/** Registry slots of the per-gate and per-sweep metrics, resolved
+ *  once (every shot worker of a fan-out records them). */
+struct ApplySlots
+{
+    CounterSlot &sweepCount;
+    CounterSlot &statePasses;
+    HistogramSlot &gatesPerSweep;
+    HistogramSlot &wallTime;
+};
+
+const ApplySlots &
+applySlots()
+{
+    static const ApplySlots slots = [] {
+        auto &mr = MetricsRegistry::global();
+        return ApplySlots{mr.counterSlot("sweep.count"),
+                          mr.counterSlot("sweep.state_passes"),
+                          mr.histogramSlot("sweep.gates_per_sweep"),
+                          mr.histogramSlot("apply.wall_time")};
+    }();
+    return slots;
+}
+
 /** Kernel kind of a k-qubit diagonal gate (for the metrics counters). */
 KernelKind
 diagKindOf(int k)
@@ -638,8 +661,7 @@ applyGateChunked(ChunkedStateVector &state, const Gate &gate,
                             plan.numGroups() *
                                 specAmps(spec, sub_qubits));
     }
-    MetricsRegistry::global().observe("apply.wall_time",
-                                      wall.seconds());
+    applySlots().wallTime.observe(wall.seconds());
 }
 
 void
@@ -868,12 +890,11 @@ applySweepChunked(ChunkedStateVector &state,
     // many full passes over the state the circuit actually cost.
     for (const SweepOp &op : ops)
         recordKernelMetrics(op.kind, op.amps);
-    auto &mr = MetricsRegistry::global();
-    mr.add("sweep.count");
-    mr.add("sweep.state_passes");
-    mr.observe("sweep.gates_per_sweep",
-               static_cast<double>(gates.size()));
-    mr.observe("apply.wall_time", wall.seconds());
+    const ApplySlots &slots = applySlots();
+    slots.sweepCount.add();
+    slots.statePasses.add();
+    slots.gatesPerSweep.observe(static_cast<double>(gates.size()));
+    slots.wallTime.observe(wall.seconds());
 }
 
 void

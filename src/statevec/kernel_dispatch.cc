@@ -1,6 +1,7 @@
 #include "statevec/kernel_dispatch.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 
 #include "common/bits.hh"
@@ -451,11 +452,29 @@ applyKernel(const KernelSpec &spec, Amp *data, int num_qubits,
 void
 recordKernelMetrics(KernelKind kind, Index amps)
 {
-    auto &mr = MetricsRegistry::global();
-    const std::string base =
-        std::string("kernel.") + kernelKindName(kind);
-    mr.add(base + ".invocations");
-    mr.add(base + ".amps", static_cast<double>(amps));
+    // Slots resolved once per kind: this runs per gate per sweep, from
+    // every worker of a shot fan-out at once.
+    struct KindSlots
+    {
+        CounterSlot *invocations;
+        CounterSlot *amps;
+    };
+    constexpr int kKinds = static_cast<int>(KernelKind::DenseK) + 1;
+    static const std::array<KindSlots, kKinds> slots = [] {
+        auto &mr = MetricsRegistry::global();
+        std::array<KindSlots, kKinds> table{};
+        for (int k = 0; k < kKinds; ++k) {
+            const std::string base =
+                std::string("kernel.") +
+                kernelKindName(static_cast<KernelKind>(k));
+            table[k] = {&mr.counterSlot(base + ".invocations"),
+                        &mr.counterSlot(base + ".amps")};
+        }
+        return table;
+    }();
+    const KindSlots &s = slots[static_cast<int>(kind)];
+    s.invocations->add();
+    s.amps->add(static_cast<double>(amps));
 }
 
 } // namespace qgpu

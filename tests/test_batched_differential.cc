@@ -7,7 +7,9 @@
  *       independent single runs sampled with the same derived seeds;
  *   (b) noisy shots are bit-identical across host thread counts,
  *       device counts, storage backends, and both batch modes for
- *       fixed seeds (the draw-path determinism contract);
+ *       fixed seeds (the draw-path determinism contract), and the
+ *       Shared-mode shot fan-out returns exactly the serial batch,
+ *       failure prefix and error included;
  *   (c) every noisy shot equals an independently constructed
  *       expanded-circuit run at tolerance 0 (trajectories are exact
  *       gate insertions, not approximations);
@@ -21,6 +23,7 @@
 
 #include "common/parallel.hh"
 #include "engine/batched.hh"
+#include "fault/integrity.hh"
 #include "harness/experiment.hh"
 #include "noise/model.hh"
 #include "statevec/measure.hh"
@@ -132,6 +135,88 @@ TEST_F(BatchedDifferential,
             }
         }
     }
+}
+
+TEST_F(BatchedDifferential, FanOutMatchesSerialBatchIncludingFailure)
+{
+    // Shared mode fans shots out across the pool at 4 threads and runs
+    // them one after another at 1. The fold must make the two batches
+    // identical: outcomes, counts, every stats counter (names in
+    // order), the kept states, and -- with codec faults armed so a
+    // middle shot exhausts its retries -- the same error after the
+    // same completed-shot prefix.
+    constexpr int kN = 8;
+    constexpr std::uint64_t kShots = 16;
+    const Circuit circuit = circuits::makeBenchmark("random", kN);
+
+    for (const char *faults : {"none", "codec:0.15"}) {
+        const auto runAt = [&](int threads) {
+            setSimThreads(threads);
+            ExecOptions o;
+            o.noiseSpec = kMix;
+            o.keepShotStates = true;
+            o.storage = StorageKind::Compressed;
+            o.workingSetChunks = 4;
+            o.faultSpec = faults;
+            o.faultSeed = 2;
+            Machine machine = harness::benchMachine(kN);
+            BatchResult br = harness::makeEngine("qgpu", machine, o)
+                                 ->runBatched(circuit, kShots);
+            setSimThreads(1);
+            return br;
+        };
+        const BatchResult serial = runAt(1);
+        const BatchResult fanned = runAt(4);
+        SCOPED_TRACE(faults);
+
+        if (std::string(faults) == "none") {
+            ASSERT_TRUE(serial.ok());
+            ASSERT_EQ(serial.outcomes.size(), kShots);
+        } else {
+            ASSERT_FALSE(serial.ok());
+            EXPECT_EQ(serial.error->code, SimErrorCode::CodecFailed);
+            ASSERT_GT(serial.outcomes.size(), 0u);
+            ASSERT_LT(serial.outcomes.size(), kShots);
+        }
+        EXPECT_EQ(serial.stats.get(statkeys::shotsTotal),
+                  static_cast<double>(serial.outcomes.size()));
+        EXPECT_EQ(serial.stats.get(intkeys::simErrors),
+                  serial.ok() ? 0.0 : 1.0);
+        ASSERT_EQ(fanned.ok(), serial.ok());
+        if (!serial.ok()) {
+            EXPECT_EQ(fanned.error->toString(),
+                      serial.error->toString());
+        }
+        EXPECT_EQ(fanned.outcomes, serial.outcomes);
+        EXPECT_EQ(fanned.counts, serial.counts);
+        ASSERT_EQ(fanned.stats.names(), serial.stats.names());
+        for (const auto &name : serial.stats.names())
+            EXPECT_EQ(fanned.stats.get(name), serial.stats.get(name))
+                << name;
+        ASSERT_EQ(fanned.states.size(), serial.states.size());
+        ASSERT_EQ(serial.states.size(), serial.outcomes.size());
+        for (std::size_t s = 0; s < serial.states.size(); ++s)
+            EXPECT_EQ(fanned.states[s].maxAbsDiff(serial.states[s]),
+                      0.0)
+                << "shot " << s;
+    }
+}
+
+TEST(BatchedShotsInFlight, ThreadsCappedByAQuarterOfRam)
+{
+    constexpr std::uint64_t kGiB = std::uint64_t{1} << 30;
+    // Small states: every simulator thread runs a shot.
+    EXPECT_EQ(shotsInFlight(stateBytes(10), 16 * kGiB, 4), 4);
+    EXPECT_EQ(shotsInFlight(stateBytes(10), 16 * kGiB, 1), 1);
+    // A quarter of RAM (4 GiB) holds two 2 GiB states, one 3 GiB
+    // state, and no 8 GiB state -- which still runs, one at a time.
+    EXPECT_EQ(shotsInFlight(2 * kGiB, 16 * kGiB, 4), 2);
+    EXPECT_EQ(shotsInFlight(3 * kGiB, 16 * kGiB, 4), 1);
+    EXPECT_EQ(shotsInFlight(8 * kGiB, 16 * kGiB, 4), 1);
+    EXPECT_EQ(shotsInFlight(2 * kGiB, 16 * kGiB, 64), 2);
+    // Degenerate inputs never go below one shot.
+    EXPECT_EQ(shotsInFlight(0, 0, 0), 1);
+    EXPECT_EQ(shotsInFlight(stateBytes(10), 0, 4), 1);
 }
 
 TEST_F(BatchedDifferential, ShotsMatchIndependentlyExpandedCircuits)

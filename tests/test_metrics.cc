@@ -1,7 +1,8 @@
 /**
  * @file
  * MetricsRegistry tests: counter aggregation, histogram summaries,
- * exporter shape, thread safety, and the harness integration that
+ * exporter shape, thread safety (by name and through cached slots),
+ * clear() keeping slots valid, and the harness integration that
  * publishes per-run headline numbers into the global registry.
  */
 
@@ -80,11 +81,32 @@ TEST(Metrics, RegistryHistograms)
 TEST(Metrics, ClearDropsEverything)
 {
     MetricsRegistry registry;
+    CounterSlot &c = registry.counterSlot("c");
+    HistogramSlot &h = registry.histogramSlot("h");
+    // Resolving a slot is not an update: the names stay hidden.
+    EXPECT_TRUE(registry.counterNames().empty());
+    EXPECT_TRUE(registry.histogramNames().empty());
     registry.add("c");
     registry.observe("h", 1.0);
     registry.clear();
     EXPECT_TRUE(registry.counterNames().empty());
     EXPECT_TRUE(registry.histogramNames().empty());
+    EXPECT_EQ(registry.toJson(),
+              "{\"counters\": {}, \"histograms\": {}}");
+    EXPECT_EQ(registry.toCsv(), "kind,name,count,sum,min,max,mean\n");
+
+    // Slots cached before clear() still work, start from zero, and
+    // bring their names back on the next update.
+    c.add(2.0);
+    EXPECT_DOUBLE_EQ(registry.counter("c"), 2.0);
+    EXPECT_EQ(registry.counterNames(), std::vector<std::string>{"c"});
+    EXPECT_TRUE(registry.histogramNames().empty());
+    h.observe(-3.0);
+    const Histogram hist = registry.histogram("h");
+    EXPECT_EQ(hist.count(), 1u);
+    EXPECT_DOUBLE_EQ(hist.min(), -3.0);
+    EXPECT_DOUBLE_EQ(hist.max(), -3.0);
+    EXPECT_EQ(registry.histogramNames(), std::vector<std::string>{"h"});
 }
 
 TEST(Metrics, JsonExportShape)
@@ -114,22 +136,37 @@ TEST(Metrics, CsvExportShape)
 
 TEST(Metrics, ConcurrentAddsAreExact)
 {
+    // Half the workers update by name, half through cached slots;
+    // thread t observes t*kAdds + i, so every value is distinct and
+    // the sum, min and max are known exactly.
     MetricsRegistry registry;
     constexpr int kThreads = 8, kAdds = 1000;
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&registry] {
+        workers.emplace_back([&registry, t] {
+            CounterSlot &hits = registry.counterSlot("hits");
+            HistogramSlot &values = registry.histogramSlot("values");
             for (int i = 0; i < kAdds; ++i) {
-                registry.add("hits");
-                registry.observe("values", 1.0);
+                const double v = t * kAdds + i;
+                if (t % 2 == 0) {
+                    registry.add("hits");
+                    registry.observe("values", v);
+                } else {
+                    hits.add();
+                    values.observe(v);
+                }
             }
         });
     }
     for (auto &w : workers)
         w.join();
-    EXPECT_DOUBLE_EQ(registry.counter("hits"), kThreads * kAdds);
-    EXPECT_EQ(registry.histogram("values").count(),
-              static_cast<std::uint64_t>(kThreads * kAdds));
+    constexpr int kTotal = kThreads * kAdds;
+    EXPECT_DOUBLE_EQ(registry.counter("hits"), kTotal);
+    const Histogram h = registry.histogram("values");
+    EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kTotal));
+    EXPECT_DOUBLE_EQ(h.sum(), kTotal * (kTotal - 1.0) / 2.0);
+    EXPECT_DOUBLE_EQ(h.min(), 0.0);
+    EXPECT_DOUBLE_EQ(h.max(), kTotal - 1.0);
 }
 
 TEST(Metrics, GlobalIsASingleton)
@@ -142,22 +179,37 @@ TEST(Metrics, SweepRecordsKernelCountersOncePerGate)
     // The sweep executor touches every chunk in its fan-out but must
     // record the kernel counters once per gate per sweep with the
     // full modeled totals - a per-chunk recording bug would inflate
-    // invocations by the chunk count.
+    // invocations by the chunk count. Run from one thread, then from
+    // four at once (the shot fan-out's pattern): no update is lost.
     auto &registry = MetricsRegistry::global();
-    const double inv0 =
-        registry.counter("kernel.dense1q.invocations");
-    const double amps0 = registry.counter("kernel.dense1q.amps");
-
     const int n = 8, chunk_bits = 4; // 16 chunks
     const std::vector<Gate> gates = {Gate(GateKind::H, {0}),
                                      Gate(GateKind::H, {1})};
-    ChunkedStateVector state(n, chunk_bits);
-    applySweepChunked(state, gates, {});
+    const auto sweep = [&] {
+        ChunkedStateVector state(n, chunk_bits);
+        applySweepChunked(state, gates, {});
+    };
 
-    EXPECT_DOUBLE_EQ(
-        registry.counter("kernel.dense1q.invocations") - inv0, 2.0);
-    EXPECT_DOUBLE_EQ(registry.counter("kernel.dense1q.amps") - amps0,
-                     2.0 * static_cast<double>(stateSize(n)));
+    for (const int threads : {1, 4}) {
+        const double inv0 =
+            registry.counter("kernel.dense1q.invocations");
+        const double amps0 = registry.counter("kernel.dense1q.amps");
+        const double sweeps0 = registry.counter("sweep.count");
+        std::vector<std::thread> workers;
+        for (int t = 0; t < threads; ++t)
+            workers.emplace_back(sweep);
+        for (auto &w : workers)
+            w.join();
+
+        EXPECT_DOUBLE_EQ(
+            registry.counter("kernel.dense1q.invocations") - inv0,
+            2.0 * threads);
+        EXPECT_DOUBLE_EQ(
+            registry.counter("kernel.dense1q.amps") - amps0,
+            2.0 * threads * static_cast<double>(stateSize(n)));
+        EXPECT_DOUBLE_EQ(registry.counter("sweep.count") - sweeps0,
+                         threads);
+    }
 }
 
 TEST(Metrics, HarnessPublishesRunMetrics)
