@@ -354,7 +354,7 @@ BaselineEngine::execute(const Circuit &circuit, RunResult &result)
     m.host().compute().schedule(prev_end, 0.0);
 
     exportStorageStats(state, stats);
-    return state.toFlat();
+    return state.takeFlat();
 }
 
 } // namespace qgpu

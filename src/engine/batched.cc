@@ -155,7 +155,7 @@ runSharedShot(const SharedShotContext &ctx, std::uint64_t seed,
             slot.outcome ^= flips;
         }
         if (ctx.options.keepShotStates)
-            slot.state = state.toFlat();
+            slot.state = state.takeFlat();
         slot.stats.add(statkeys::shotsTotal, 1.0);
     } catch (const SimException &e) {
         slot.error = e.error();

@@ -98,14 +98,14 @@ ExecutionEngine::run(const Circuit &circuit)
     if (options_.fastMath && kernelTier() != KernelTier::Fast)
         tier.emplace(KernelTier::Fast);
 
-    StateVector state{circuit.numQubits()};
+    std::optional<StateVector> state;
     try {
-        state = execute(circuit, result);
+        state.emplace(execute(circuit, result));
     } catch (const SimException &e) {
         // A fault-recovery policy was exhausted. Surface the failure
         // structurally — never a crash, never a silently corrupt
         // state (the |0...0> placeholder plus `error` is the
-        // contract).
+        // contract; the placeholder is built below, only if kept).
         result.error = e.error();
         result.stats.add(intkeys::simErrors, 1.0);
     }
@@ -175,7 +175,8 @@ ExecutionEngine::run(const Circuit &circuit)
     }
 
     if (options_.keepState)
-        result.state = std::move(state);
+        result.state = state ? std::move(*state)
+                             : StateVector{circuit.numQubits()};
     return result;
 }
 

@@ -560,7 +560,7 @@ StreamingEngine::execute(const Circuit &circuit, RunResult &result)
         stats.set("precision.promoted_chunks",
                   static_cast<double>(state.promotedChunks()));
     exportStorageStats(state, stats);
-    return state.toFlat();
+    return state.takeFlat();
 }
 
 StateVector
@@ -686,7 +686,7 @@ StreamingEngine::executeResident(const Circuit &circuit,
         stats.set("precision.promoted_chunks",
                   static_cast<double>(state.promotedChunks()));
     exportStorageStats(state, stats);
-    return state.toFlat();
+    return state.takeFlat();
 }
 
 StateVector
@@ -1007,7 +1007,7 @@ StreamingEngine::executeSharded(const Circuit &circuit,
         stats.set("precision.promoted_chunks",
                   static_cast<double>(state.promotedChunks()));
     exportStorageStats(state, stats);
-    return state.toFlat();
+    return state.takeFlat();
 }
 
 } // namespace qgpu

@@ -393,31 +393,29 @@ budgetFor(const StorageConfig &config, Index num_chunks,
 
 ChunkResidency::ChunkResidency(const StorageConfig &config,
                                Index num_chunks, Index chunk_size,
-                               std::vector<std::vector<Amp>> &slots)
+                               std::span<const Amp> initial)
     : kind_(config.kind), numChunks_(num_chunks),
       chunkSize_(chunk_size),
       budget_(budgetFor(config, num_chunks, chunk_size)),
       retries_(config.retries), injector_(config.injector),
-      slots_(&slots), store_(makeColdStore(config.kind, config.spillDir)),
+      slots_(num_chunks),
+      store_(makeColdStore(config.kind, config.spillDir)),
       meta_(num_chunks)
 {
     if (store_ == nullptr)
         QGPU_FATAL("ChunkResidency needs a non-raw storage kind");
     store_->reset(num_chunks, chunk_size);
     stats_.workingSet = budget_;
-    for (Index c = 0; c < numChunks_; ++c) {
-        std::vector<Amp> &slot = slots[c];
-        if (slot.empty())
-            continue; // Zero (the default meta)
+    for (Index c = 0; c < numChunks_ && !initial.empty(); ++c) {
+        const auto src = initial.subspan(c * chunkSize_, chunkSize_);
         bool byte_zero = true;
         const auto *raw =
-            reinterpret_cast<const std::uint64_t *>(slot.data());
+            reinterpret_cast<const std::uint64_t *>(src.data());
         for (Index i = 0; i < 2 * chunkSize_ && byte_zero; ++i)
             byte_zero = raw[i] == 0;
-        if (byte_zero) {
-            std::vector<Amp>().swap(slot);
-            continue;
-        }
+        if (byte_zero)
+            continue; // Zero (the default meta)
+        slots_[c].assign(src.begin(), src.end());
         meta_[c].state = State::Resident;
         meta_[c].wasZero = false;
         ++residentCount_;
@@ -500,7 +498,7 @@ void
 ChunkResidency::evict(Index c)
 {
     Meta &m = meta_[c];
-    std::vector<Amp> &slot = (*slots_)[c];
+    std::vector<Amp> &slot = slots_[c];
     // One pass over the raw 64-bit patterns classifies the chunk:
     // byte-zero (all +0.0 — elide entirely), value-zero (may contain
     // -0.0, whose sign bit must survive the round trip), and
@@ -615,7 +613,7 @@ ChunkResidency::issueFill(Index c, bool async)
     devInc(c);
     notePeak();
     auto work = [this, c, zero] {
-        std::vector<Amp> &slot = (*slots_)[c];
+        std::vector<Amp> &slot = slots_[c];
         if (zero) {
             slot.assign(chunkSize_, Amp{0, 0});
             return;
@@ -664,7 +662,7 @@ ChunkResidency::readChunk(Index c, Amp *dst)
         std::fill(dst, dst + chunkSize_, Amp{0, 0});
         break;
     case State::Resident: {
-        const std::vector<Amp> &slot = (*slots_)[c];
+        const std::vector<Amp> &slot = slots_[c];
         std::copy(slot.begin(), slot.end(), dst);
         ++stats_.decompressHits;
         break;
@@ -686,7 +684,7 @@ void
 ChunkResidency::writeChunk(Index c, const Amp *src)
 {
     Meta &m = meta_[c];
-    std::vector<Amp> &slot = (*slots_)[c];
+    std::vector<Amp> &slot = slots_[c];
     bool byte_zero = true;
     const auto *raw = reinterpret_cast<const std::uint64_t *>(src);
     for (Index i = 0; i < 2 * chunkSize_ && byte_zero; ++i)
@@ -759,11 +757,16 @@ ChunkResidency::unpin(std::span<const Index> cs)
 }
 
 void
-ChunkResidency::materializeAll()
+ChunkResidency::drainInto(std::span<Amp> flat)
 {
-    for (Index c = 0; c < numChunks_; ++c)
-        if (meta_[c].state != State::Resident)
+    for (Index c = 0; c < numChunks_; ++c) {
+        if (meta_[c].state == State::Zero)
+            continue;
+        if (meta_[c].state == State::Cold)
             issueFill(c, false);
+        std::ranges::copy(slots_[c], flat.begin() + c * chunkSize_);
+        std::vector<Amp>().swap(slots_[c]);
+    }
 }
 
 void

@@ -5,7 +5,8 @@
  * chunk fully decompressed in host memory, a bounded working set of
  * chunks stays resident while the rest live in a ColdStore backend —
  * GFC-compressed host buffers (`compressed`) or a scratch file
- * (`spill`). `raw` keeps today's behavior and is the default.
+ * (`spill`). `raw`, the default, keeps the whole register as one
+ * contiguous array and needs no residency manager.
  *
  * Bit-identity contract: eviction is always LOSSLESS. A chunk is
  * stored either byte-for-byte or through the GFC codec (which is
@@ -191,10 +192,10 @@ struct StorageConfig
 /**
  * Residency manager for one ChunkedStateVector: tracks the per-chunk
  * state machine (Zero / Resident / Cold), the clock eviction hand,
- * pin counts, and the checksums guarding every cold round trip. The
- * managed slots are the state's own chunk vectors; the invariant
- * "slot non-empty <=> chunk Resident" is what lets the hot accessors
- * skip the residency layer entirely for resident chunks.
+ * pin counts, and the checksums guarding every cold round trip. It
+ * owns one slot vector per chunk; the invariant "slot non-empty <=>
+ * chunk Resident" is what lets chunk() skip the state machine entirely
+ * for resident chunks.
  */
 class ChunkResidency
 {
@@ -210,14 +211,13 @@ class ChunkResidency
     };
 
     /**
-     * Adopt @p slots (the state's chunk vectors, which must outlive
-     * this object): empty or byte-zero slots become Zero (byte-zero
-     * slots are freed), everything else Resident; then the working
-     * set is brought within budget.
+     * Adopt the flat register @p initial (num_chunks * chunk_size
+     * amps; empty means all zero): byte-zero chunks become Zero,
+     * everything else is copied into a Resident slot; then the
+     * working set is brought within budget.
      */
     ChunkResidency(const StorageConfig &config, Index num_chunks,
-                   Index chunk_size,
-                   std::vector<std::vector<Amp>> &slots);
+                   Index chunk_size, std::span<const Amp> initial = {});
     ~ChunkResidency();
 
     ChunkResidency(const ChunkResidency &) = delete;
@@ -241,6 +241,18 @@ class ChunkResidency
     void setDeviceMap(std::vector<int> device_of);
 
     State stateOf(Index c) const { return meta_[c].state; }
+
+    /**
+     * Chunk @p c's slot, made resident first when it is not (the
+     * ensure() rules apply; resident access touches no state).
+     */
+    std::span<Amp> chunk(Index c)
+    {
+        std::vector<Amp> &slot = slots_[c];
+        if (slot.empty())
+            ensure(c);
+        return slot;
+    }
 
     /** True when chunk @p c is known all-value-zero without touching
      *  data (Zero, or Cold with a value-zero payload). Resident
@@ -294,9 +306,14 @@ class ChunkResidency
         waitPins();
     }
 
-    /** Make every chunk resident, ignoring the budget (used around
-     *  re-partitioning; follow with enforceBudget()). */
-    void materializeAll();
+    /**
+     * Copy every chunk into the zero-initialized flat register
+     * @p flat, ignoring the budget (used around re-partitioning).
+     * Cold chunks refill exactly as ensure() would, in chunk order;
+     * each slot is freed once copied. The manager is spent afterwards
+     * and must be discarded.
+     */
+    void drainInto(std::span<Amp> flat);
 
     /** Evict until the working set is within budget again. */
     void enforceBudget();
@@ -343,7 +360,7 @@ class ChunkResidency
     Index budget_;
     int retries_;
     FaultInjector *injector_;
-    std::vector<std::vector<Amp>> *slots_;
+    std::vector<std::vector<Amp>> slots_;
     std::unique_ptr<ColdStore> store_;
     std::vector<Meta> meta_;
     Index hand_ = 0;

@@ -9,17 +9,6 @@
 namespace qgpu
 {
 
-ChunkedStateVector::ChunkedStateVector(int num_qubits, int chunk_bits)
-    : numQubits_(num_qubits), chunkBits_(chunk_bits)
-{
-    if (chunk_bits < 0 || chunk_bits > num_qubits)
-        QGPU_FATAL("chunk bits ", chunk_bits, " outside [0, ",
-                   num_qubits, "]");
-    chunks_.assign(numChunks(),
-                   std::vector<Amp>(chunkSize(), Amp{0, 0}));
-    chunks_[0][0] = Amp{1, 0};
-}
-
 ChunkedStateVector::ChunkedStateVector(int num_qubits, int chunk_bits,
                                        const StorageConfig &storage)
     : numQubits_(num_qubits), chunkBits_(chunk_bits),
@@ -28,39 +17,42 @@ ChunkedStateVector::ChunkedStateVector(int num_qubits, int chunk_bits,
     if (chunk_bits < 0 || chunk_bits > num_qubits)
         QGPU_FATAL("chunk bits ", chunk_bits, " outside [0, ",
                    num_qubits, "]");
-    if (storage.kind == StorageKind::Raw) {
-        chunks_.assign(numChunks(),
-                       std::vector<Amp>(chunkSize(), Amp{0, 0}));
-        chunks_[0][0] = Amp{1, 0};
-        return;
-    }
-    // Bounded storage: every chunk starts elided (known zero); only
-    // chunk 0 is materialized to hold the |0...0> amplitude. The full
-    // register is never allocated at once.
-    chunks_.assign(numChunks(), std::vector<Amp>{});
-    setupResidency();
-    residency_->ensure(0);
-    chunks_[0][0] = Amp{1, 0};
+    // Bounded storage starts with every chunk elided (known zero);
+    // setting the |0...0> amplitude materializes chunk 0 only, so the
+    // full register is never allocated at once.
+    if (storage.kind == StorageKind::Raw)
+        amps_.assign(stateSize(num_qubits), Amp{0, 0});
+    else
+        setupResidency();
+    amp(0) = Amp{1, 0};
 }
 
 void
 ChunkedStateVector::setupResidency()
 {
+    // The residency adopts the flat register (if any) and owns the
+    // chunks from here on.
     residency_ = std::make_unique<ChunkResidency>(
-        storageCfg_, numChunks(), chunkSize(), chunks_);
+        storageCfg_, numChunks(), chunkSize(), amps_);
+    std::vector<Amp>().swap(amps_);
+}
+
+void
+ChunkedStateVector::releaseResidency()
+{
+    amps_.assign(stateSize(numQubits_), Amp{0, 0});
+    residency_->drainInto(amps_);
+    residency_.reset();
 }
 
 void
 ChunkedStateVector::configureStorage(const StorageConfig &storage)
 {
-    if (residency_) {
-        residency_->materializeAll();
-        residency_.reset();
-    }
+    if (residency_)
+        releaseResidency();
     storageCfg_ = storage;
-    if (storage.kind == StorageKind::Raw)
-        return;
-    setupResidency();
+    if (storage.kind != StorageKind::Raw)
+        setupResidency();
 }
 
 void
@@ -72,24 +64,12 @@ ChunkedStateVector::rechunk(int new_bits)
         QGPU_FATAL("chunk bits ", new_bits, " outside [0, ",
                    numQubits_, "]");
 
-    // Re-partitioning permutes amplitudes across chunk boundaries;
-    // under bounded storage the simplest bit-identical route is to
-    // transiently materialize everything, re-partition raw, and
-    // re-scan into the new chunk geometry (enforcing the budget
-    // again at the end).
+    // A raw chunk is a view of the flat register, so only the
+    // geometry changes. Bounded storage goes through the flat
+    // register: drain, re-slice, re-adopt (enforcing the budget again).
     const bool bounded = residency_ != nullptr;
-    if (bounded) {
-        residency_->materializeAll();
-        residency_.reset();
-    }
-
-    const Index new_count = Index{1} << (numQubits_ - new_bits);
-    const Index new_size = Index{1} << new_bits;
-    std::vector<std::vector<Amp>> next(
-        new_count, std::vector<Amp>(new_size));
-    for (Index i = 0; i < stateSize(numQubits_); ++i)
-        next[i >> new_bits][i & bits::lowMask(new_bits)] = amp(i);
-    chunks_ = std::move(next);
+    if (bounded)
+        releaseResidency();
     chunkBits_ = new_bits;
     // Lane tags are per chunk; re-derive them for the new partition.
     // Amplitudes in fp32 lanes are already rounded, so no re-quantize
@@ -105,10 +85,8 @@ ChunkedStateVector::chunkIsZero(Index c) const
     if (residency_ &&
         residency_->stateOf(c) != ChunkResidency::State::Resident)
         return residency_->knownZero(c);
-    for (const Amp &a : chunks_[c])
-        if (a != Amp{0, 0})
-            return false;
-    return true;
+    return std::ranges::all_of(chunk(c),
+                               [](const Amp &a) { return a == Amp{0, 0}; });
 }
 
 void
@@ -116,10 +94,8 @@ ChunkedStateVector::gatherChunks(std::span<const Index> members,
                                  Amp *dst) const
 {
     const Index size = chunkSize();
-    for (std::size_t s = 0; s < members.size(); ++s) {
-        const std::vector<Amp> &src = chunks_[members[s]];
-        std::copy(src.begin(), src.end(), dst + s * size);
-    }
+    for (std::size_t s = 0; s < members.size(); ++s)
+        std::ranges::copy(chunk(members[s]), dst + s * size);
 }
 
 void
@@ -129,23 +105,28 @@ ChunkedStateVector::scatterChunks(std::span<const Index> members,
     const Index size = chunkSize();
     for (std::size_t s = 0; s < members.size(); ++s)
         std::copy(src + s * size, src + (s + 1) * size,
-                  chunks_[members[s]].begin());
+                  chunk(members[s]).begin());
 }
 
 StateVector
 ChunkedStateVector::toFlat() const
 {
+    if (!residency_)
+        return StateVector(numQubits_, amps_);
+    // Chunk-wise, without residency churn: cold chunks decode straight
+    // into the flat buffer and stay cold.
     StateVector out(numQubits_);
-    if (residency_) {
-        // Chunk-wise, without residency churn: cold chunks decode
-        // straight into the flat buffer and stay cold.
-        for (Index c = 0; c < numChunks(); ++c)
-            residency_->readChunk(c, &out[c << chunkBits_]);
-        return out;
-    }
-    for (Index i = 0; i < stateSize(numQubits_); ++i)
-        out[i] = amp(i);
+    for (Index c = 0; c < numChunks(); ++c)
+        residency_->readChunk(c, &out[c << chunkBits_]);
     return out;
+}
+
+StateVector
+ChunkedStateVector::takeFlat()
+{
+    if (residency_)
+        return toFlat();
+    return StateVector(numQubits_, std::move(amps_));
 }
 
 void
@@ -159,8 +140,7 @@ ChunkedStateVector::fromFlat(const StateVector &state)
             residency_->writeChunk(c, &state[c << chunkBits_]);
         return;
     }
-    for (Index i = 0; i < stateSize(numQubits_); ++i)
-        amp(i) = state[i];
+    std::ranges::copy(state.amplitudes(), amps_.begin());
 }
 
 double
@@ -176,7 +156,7 @@ ChunkedStateVector::norm() const
                 continue;
             const Amp *data;
             if (s == State::Resident) {
-                data = chunks_[c].data();
+                data = chunk(c).data();
             } else {
                 scratch.resize(chunkSize());
                 residency_->readChunk(c, scratch.data());
@@ -187,9 +167,8 @@ ChunkedStateVector::norm() const
         }
         return sum;
     }
-    for (const auto &c : chunks_)
-        for (const Amp &a : c)
-            sum += std::norm(a);
+    for (const Amp &a : amps_)
+        sum += std::norm(a);
     return sum;
 }
 
@@ -213,7 +192,7 @@ ChunkedStateVector::retagChunks()
         return;
     for (Index c = 0; c < numChunks(); ++c) {
         double max_mag = 0.0;
-        for (const Amp &a : chunks_[c]) {
+        for (const Amp &a : chunk(c)) {
             max_mag = std::max(max_mag, std::abs(a.real()));
             max_mag = std::max(max_mag, std::abs(a.imag()));
         }
@@ -277,7 +256,7 @@ ChunkedStateVector::refreshPrecision()
                 // complex-typed narrowing that GCC 12 miscompiles
                 // (see quantizeAmpF32) and vectorizable.
                 double *raw =
-                    reinterpret_cast<double *>(chunks_[c].data());
+                    reinterpret_cast<double *>(chunk(c).data());
                 const Index lanes = 2 * chunkSize();
                 for (Index i = 0; i < lanes; ++i)
                     raw[i] = static_cast<double>(

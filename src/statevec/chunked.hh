@@ -24,13 +24,17 @@ namespace qgpu
 /**
  * A state vector stored as 2^(n - chunkBits) chunks of 2^chunkBits
  * amplitudes each.
+ *
+ * Under raw storage the whole register is ONE contiguous array and the
+ * chunk geometry is only a view of it: chunk @c c is the range starting
+ * at <tt>c << chunkBits</tt>. Re-partitioning (rechunk) therefore moves
+ * no data, and takeFlat hands the array over without a copy. Under
+ * bounded storage the ChunkResidency owns per-chunk slots instead and
+ * no full register is held.
  */
 class ChunkedStateVector
 {
   public:
-    /** Initialize to |0...0>. */
-    ChunkedStateVector(int num_qubits, int chunk_bits);
-
     /**
      * Initialize to |0...0> under the given storage policy. Non-raw
      * kinds never materialize the full register: all chunks start
@@ -39,10 +43,9 @@ class ChunkedStateVector
      * spill backends exist for.
      */
     ChunkedStateVector(int num_qubits, int chunk_bits,
-                       const StorageConfig &storage);
+                       const StorageConfig &storage = {});
 
-    // The residency manager points back at this object's chunk slots,
-    // so the state is pinned in place.
+    // A register is large: copies are explicit (toFlat / fromFlat).
     ChunkedStateVector(const ChunkedStateVector &) = delete;
     ChunkedStateVector &operator=(const ChunkedStateVector &) = delete;
 
@@ -72,32 +75,38 @@ class ChunkedStateVector
      * workers must touch pinned chunks exclusively, which are always
      * resident); the empty-slot check makes resident access free.
      */
-    std::vector<Amp> &chunk(Index c)
+    std::span<Amp> chunk(Index c)
     {
-        if (residency_ && chunks_[c].empty())
-            residency_->ensure(c);
-        return chunks_[c];
+        if (residency_)
+            return residency_->chunk(c);
+        return {amps_.data() + (c << chunkBits_), chunkSize()};
     }
-    const std::vector<Amp> &chunk(Index c) const
+    std::span<const Amp> chunk(Index c) const
     {
-        if (residency_ && chunks_[c].empty())
-            residency_->ensure(c);
-        return chunks_[c];
+        if (residency_)
+            return residency_->chunk(c);
+        return {amps_.data() + (c << chunkBits_), chunkSize()};
     }
 
     /** Global amplitude accessor. */
     Amp &amp(Index i)
     {
-        return chunk(i >> chunkBits_)[i & bits::lowMask(chunkBits_)];
+        if (residency_)
+            return chunk(i >> chunkBits_)[i & bits::lowMask(chunkBits_)];
+        return amps_[i];
     }
     const Amp &amp(Index i) const
     {
-        return chunk(i >> chunkBits_)[i & bits::lowMask(chunkBits_)];
+        if (residency_)
+            return chunk(i >> chunkBits_)[i & bits::lowMask(chunkBits_)];
+        return amps_[i];
     }
 
     /**
      * Re-partition into chunks of @p new_bits amplitudes. Used by the
-     * dynamic chunk-size selection of Algorithm 1.
+     * dynamic chunk-size selection of Algorithm 1. Free under raw
+     * storage (only the geometry and the lane tags change); bounded
+     * storage drains to a flat register and re-adopts it.
      */
     void rechunk(int new_bits);
 
@@ -118,6 +127,13 @@ class ChunkedStateVector
 
     /** Copy out as a flat state vector. */
     StateVector toFlat() const;
+
+    /**
+     * Hand the register over as a flat state vector: a move under raw
+     * storage (no copy), toFlat() under bounded storage. This state is
+     * spent afterwards; only destruction is valid.
+     */
+    StateVector takeFlat();
 
     /** Load from a flat state vector (must match register size). */
     void fromFlat(const StateVector &state);
@@ -205,17 +221,18 @@ class ChunkedStateVector
   private:
     void retagChunks();
     void setupResidency();
+    void releaseResidency();
 
     int numQubits_;
     int chunkBits_;
-    std::vector<std::vector<Amp>> chunks_;
+    /** The whole register under raw storage; empty under bounded. */
+    std::vector<Amp> amps_;
     Precision precision_ = Precision::f64;
     double promoteThreshold_ = 1e-6;
     /** Per-chunk lane tag (1 = fp32); empty in f64 mode. */
     std::vector<std::uint8_t> chunkF32_;
     StorageConfig storageCfg_;
-    /** Present only under bounded storage; declared last so it is
-     *  destroyed before the chunk slots it references. */
+    /** Present only under bounded storage, owning the chunk slots. */
     std::unique_ptr<ChunkResidency> residency_;
 };
 

@@ -17,6 +17,14 @@ StateVector::StateVector(int num_qubits)
     amps_[0] = Amp{1, 0};
 }
 
+StateVector::StateVector(int num_qubits, std::vector<Amp> amps)
+    : numQubits_(num_qubits), amps_(std::move(amps))
+{
+    if (amps_.size() != stateSize(num_qubits))
+        QGPU_PANIC("adopted register holds ", amps_.size(),
+                   " amplitudes, not 2^", num_qubits);
+}
+
 void
 StateVector::apply(const Gate &gate)
 {

@@ -4,6 +4,9 @@
  * equality with the flat representation.
  */
 
+#include <cstring>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "circuits/circuits.hh"
@@ -53,23 +56,79 @@ class RechunkParam
 {
 };
 
+/** Bitwise equality, so a -0.0 that turned into +0.0 is caught. */
+bool
+bitsEqual(const StateVector &a, const StateVector &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.amplitudes().data(), b.amplitudes().data(),
+                       a.size() * sizeof(Amp)) == 0;
+}
+
 TEST_P(RechunkParam, RechunkPreservesAmplitudes)
 {
     const auto &[from_bits, to_bits] = GetParam();
     const Circuit c = circuits::makeBenchmark("hlf", 6);
-    const StateVector flat = simulateReference(c);
+    StateVector flat = simulateReference(c);
+    flat[5] = Amp{-0.0, 0.25};
+    flat[42] = Amp{0.125, -0.0};
 
     ChunkedStateVector s(6, from_bits);
     s.fromFlat(flat);
     s.rechunk(to_bits);
     EXPECT_EQ(s.chunkBits(), to_bits);
-    EXPECT_LT(s.toFlat().maxAbsDiff(flat), 1e-16);
+    EXPECT_TRUE(bitsEqual(s.toFlat(), flat));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPairs, RechunkParam,
     ::testing::Combine(::testing::Values(0, 2, 4, 6),
                        ::testing::Values(0, 1, 3, 5, 6)));
+
+TEST(Chunked, RawChunksAreViewsOfOneRegister)
+{
+    const StateVector flat =
+        simulateReference(circuits::makeBenchmark("qft", 8));
+    ChunkedStateVector s(8, 5);
+    s.fromFlat(flat);
+    const Amp *base = s.chunk(0).data();
+    for (const int b : {2, 7, 0, 8, 3}) {
+        s.rechunk(b);
+        ASSERT_EQ(s.chunk(0).data(), base) << b;
+        for (Index c = 0; c < s.numChunks(); ++c)
+            ASSERT_EQ(s.chunk(c).data(), base + (c << b))
+                << "chunk " << c << " at " << b << " bits";
+    }
+    const StateVector taken = s.takeFlat();
+    EXPECT_EQ(taken.amplitudes().data(), base);
+    EXPECT_TRUE(bitsEqual(taken, flat));
+}
+
+TEST(Chunked, RechunkRederivesAdaptiveLaneTags)
+{
+    // Mixed magnitudes: some chunks fall below the threshold at one
+    // geometry but not at another.
+    StateVector flat(7);
+    for (Index i = 0; i < flat.size(); ++i)
+        flat[i] = Amp{(i % 9 == 0) ? 0.25 : 1e-9, (i % 5) * 1e-8};
+    constexpr double kThreshold = 1e-6;
+    for (const auto &[from, to] : {std::pair{2, 4}, std::pair{5, 1},
+                                   std::pair{3, 0}, std::pair{0, 7}}) {
+        ChunkedStateVector s(7, from);
+        s.fromFlat(flat);
+        s.setPrecision(Precision::adaptive, kThreshold);
+        s.rechunk(to);
+
+        ChunkedStateVector fresh(7, to);
+        fresh.fromFlat(s.toFlat());
+        fresh.setPrecision(Precision::adaptive, kThreshold);
+        ASSERT_EQ(s.numChunks(), fresh.numChunks());
+        for (Index c = 0; c < s.numChunks(); ++c)
+            EXPECT_EQ(s.chunkIsF32(c), fresh.chunkIsF32(c))
+                << from << " -> " << to << " chunk " << c;
+        EXPECT_EQ(s.promotedChunks(), fresh.promotedChunks());
+    }
+}
 
 TEST(Chunked, ExtremeChunkSizes)
 {

@@ -401,6 +401,7 @@ TEST(FaultSmoke, ExhaustedRetriesSurfaceAsStructuredError)
     const Circuit circuit = circuits::makeBenchmark("qft", 8);
     ExecOptions o = faultlessOptions();
     o.faultSpec = "d2h:1.0";
+    o.keepState = true;
     Machine m = harness::benchMachine(8);
     const RunResult r = harness::runOn("qgpu", m, circuit, o);
     ASSERT_FALSE(r.ok());
@@ -408,6 +409,10 @@ TEST(FaultSmoke, ExhaustedRetriesSurfaceAsStructuredError)
     EXPECT_EQ(r.error->point, "d2h");
     EXPECT_EQ(r.error->attempts, o.transferRetries + 1);
     EXPECT_EQ(r.stats.get(intkeys::simErrors), 1.0);
+    // The documented contract: a failed run keeps the |0...0>
+    // placeholder of the circuit's register, never a partial state.
+    EXPECT_EQ(r.state.numQubits(), 8);
+    EXPECT_EQ(r.state.amplitudes(), StateVector(8).amplitudes());
 }
 
 TEST(FaultSmoke, FaultSequenceIsSeedStableAcrossThreadCounts)

@@ -11,6 +11,7 @@
  * ThreadSanitizer pass (scripts/check.sh --tsan) leans on.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -240,7 +241,8 @@ TEST(ThreadStress, OverlappingChunkedAppliesOnSharedPool)
                 ChunkedStateVector state(10, 6);
                 applyCircuitChunked(state, circuit);
                 for (Index c = 0; c < ref.numChunks(); ++c)
-                    if (state.chunk(c) != ref.chunk(c))
+                    if (!std::ranges::equal(state.chunk(c),
+                                            ref.chunk(c)))
                         ++mismatches;
             }
         });
