@@ -237,7 +237,7 @@ BENCHMARK(BM_KindDispatch)->DenseRange(0, numKernelKinds - 1);
 /**
  * Fast-math tier of the same specialized kernels: contracted-FMA /
  * wider-vector codegen when the build compiled the fast TU
- * (QGPU_FAST_MATH=ON); otherwise kernfast falls back to the exact
+ * (QGPU_FAST_MATH=ON); otherwise kernfast compiles to the exact
  * kernels and the row's label says so. The delta over BM_KindDispatch
  * is what --fast-math buys per kernel kind on this machine.
  */
@@ -251,7 +251,7 @@ BM_KindDispatchFast(benchmark::State &bench_state)
     Amp *data = amps.data();
     const Index items = kernelWorkItems(spec, kKindQubits);
     for (auto _ : bench_state) {
-        kernfast::applyKernelFast(spec, data, kKindQubits, 0, items);
+        kernfast::dispatch(spec, data, kKindQubits, 0, items);
         benchmark::DoNotOptimize(data);
     }
     bench_state.SetLabel(std::string(kernelKindName(kind)) +

@@ -25,7 +25,9 @@
  *   --active n (concurrent jobs), --queue n (admission bound),
  *   --small-burst n (fair-share burst; 0 = FIFO),
  *   --small-cost c (small/large boundary on 2^qubits * gates),
- *   --cache-mb n (0 disables the result cache), --fast-math
+ *   --cache-mb n (0 disables the result cache)
+ * Kernel tier: per job, from the request's "fast_math" field; exact
+ *   and fast jobs share one service.
  * Output: --out file (result lines; default stdout), --quiet (no
  *   per-job lines, counters only).
  */
@@ -145,8 +147,6 @@ main(int argc, char **argv)
                 static_cast<std::size_t>(
                     std::atoll(value().c_str()))
                 << 20;
-        } else if (flag == "--fast-math") {
-            config.fastMath = true;
         } else if (flag == "--out") {
             out_path = value();
         } else if (flag == "--quiet") {

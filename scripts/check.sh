@@ -17,8 +17,9 @@
 #                  run that the fast tier is the compiled one rather
 #                  than the exact fallback, and rerun the
 #                  versions-differential / kernel-dispatch / precision
-#                  suites there with QGPU_FAST_MATH=1 so the 1e-12
-#                  accuracy contract is exercised end to end
+#                  / service-differential suites there with
+#                  QGPU_FAST_MATH=1 so the 1e-12 accuracy contract is
+#                  exercised end to end
 #
 # The default pass also rebuilds the kernel differential suite with
 # -DQGPU_NATIVE=ON (build-check-native) and reruns it there, so the
@@ -88,7 +89,8 @@ if [ "$RUN_FAST_MATH" -eq 1 ]; then
     cmake -B "$FAST_DIR" -S . -DQGPU_FAST_MATH=ON \
         -DCMAKE_CXX_FLAGS="-Werror"
     cmake --build "$FAST_DIR" -j "$JOBS" --target qgpu_sim_cli \
-        test_differential test_kernel_dispatch test_precision_tiers
+        test_differential test_kernel_dispatch test_precision_tiers \
+        test_service_differential
     banner=$("$FAST_DIR"/examples/qgpu_sim --circuit bv --qubits 6 \
         --engine qgpu --fast-math | grep '^tiers:')
     case "$banner" in
@@ -103,10 +105,12 @@ if [ "$RUN_FAST_MATH" -eq 1 ]; then
     # environment: the versions-differential suite's cross-version
     # agreement plus the kernel-dispatch specialized-vs-generic and
     # precision-tier checks must hold within the documented fast-math
-    # contract (DESIGN.md "Fast-math & precision tiers").
+    # contract (DESIGN.md "Fast-math & precision tiers"). The service
+    # differential rides along: its fresh reference run must take the
+    # request's tier, not the environment's.
     QGPU_FAST_MATH=1 ctest --test-dir "$FAST_DIR" \
         --output-on-failure -j "$JOBS" \
-        -R 'VersionsDifferential|KernelDispatch|Precision'
+        -R 'VersionsDifferential|KernelDispatch|Precision|ServiceDifferential'
 fi
 
 # Kernel differential suite again under -march=native: FMA contraction

@@ -12,24 +12,27 @@ namespace
 {
 
 /**
- * Sequential full-state passes on the host compute resource.
- * @p efficiency divides the host's effective rates: 2.0 means each
- * pass runs twice as fast as the reference loops, 1/7 means seven
- * times slower.
+ * Sequential full-state passes on the host compute resource, through
+ * the kernel tier @p options selects. @p efficiency divides the
+ * host's effective rates: 2.0 means each pass runs twice as fast as
+ * the reference loops, 1/7 means seven times slower.
  */
 StateVector
 hostPasses(Machine &m, const Circuit &circuit, RunResult &result,
-           int threads, double efficiency, double per_gate_overhead)
+           const ExecOptions &options, int threads, double efficiency,
+           double per_gate_overhead)
 {
     auto &stats = result.stats;
     const int n = circuit.numQubits();
     const double pass_bytes =
         2.0 * static_cast<double>(stateBytes(n)); // read + write
+    const KernelTier tier =
+        options.fastMath ? KernelTier::Fast : KernelTier::Exact;
 
     StateVector state(n);
     VTime prev = 0.0;
     for (const Gate &gate : circuit.gates()) {
-        state.apply(gate);
+        state.apply(gate, tier);
         const double flops = kernels::gateFlops(gate, n);
         const VTime dur =
             m.host().updateTime(flops / efficiency,
@@ -54,7 +57,7 @@ CpuEngine::CpuEngine(Machine &machine, ExecOptions options)
 StateVector
 CpuEngine::execute(const Circuit &circuit, RunResult &result)
 {
-    return hostPasses(machine(), circuit, result,
+    return hostPasses(machine(), circuit, result, options(),
                       options().hostThreads, 1.0, 0.0);
 }
 
@@ -77,7 +80,7 @@ QsimLikeEngine::execute(const Circuit &circuit, RunResult &result)
                      static_cast<double>(fused.numGates()));
     // AVX batching makes the dense fused kernels ~2x as efficient per
     // flop as Aer's per-gate loops.
-    return hostPasses(machine(), fused, result,
+    return hostPasses(machine(), fused, result, options(),
                       options().hostThreads, 2.0, 0.0);
 }
 
@@ -97,7 +100,7 @@ QdkLikeEngine::execute(const Circuit &circuit, RunResult &result)
     // than the Aer baseline).
     const int threads =
         std::max(1, machine().host().spec().cores / 4);
-    return hostPasses(machine(), circuit, result, threads,
+    return hostPasses(machine(), circuit, result, options(), threads,
                       1.0 / 2.0, 2e-3);
 }
 

@@ -83,6 +83,8 @@ BaselineEngine::execute(const Circuit &circuit, RunResult &result)
     const double per_amp_bytes =
         2.0 * static_cast<double>(ampStoredBytes(
                   options().precision == Precision::f32)); // r + w
+    const KernelTier tier =
+        options().fastMath ? KernelTier::Fast : KernelTier::Exact;
 
     // Functional updates run sweep-at-a-time (one chunk-major pass
     // per sweep, sched/sweep.hh); the per-gate loop below only shapes
@@ -95,7 +97,7 @@ BaselineEngine::execute(const Circuit &circuit, RunResult &result)
             const Sweep sw = nextSweep(gates, gi, chunk_bits);
             applySweepChunked(state,
                               gates.subspan(sw.begin, sw.size()),
-                              sw.globalBits);
+                              sw.globalBits, {}, tier);
             sweep_end = sw.end;
             state.refreshPrecision();
         }

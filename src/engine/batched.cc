@@ -100,6 +100,8 @@ runSharedShot(const SharedShotContext &ctx, std::uint64_t seed,
     const auto events = ctx.model.sample(gates, rng);
     slot.stats.add(statkeys::noiseEvents,
                    static_cast<double>(events.size()));
+    const KernelTier tier =
+        ctx.options.fastMath ? KernelTier::Fast : KernelTier::Exact;
     try {
         FaultInjector injector(ctx.faults, ctx.options.faultSeed);
         ChunkedStateVector state(
@@ -126,7 +128,8 @@ runSharedShot(const SharedShotContext &ctx, std::uint64_t seed,
                 applySweepChunked(
                     state, gates.subspan(at, stop - at), ps.globalBits,
                     deadPredicate(plan.prune, ps.liveBits,
-                                  plan.chunkBits));
+                                  plan.chunkBits),
+                    tier);
                 slot.stats.add(statkeys::shotsSweepReplays, 1.0);
                 // Errors attached at the sub-span's last gate.
                 // Boundary insertions see postBits (their arming, by
@@ -139,7 +142,8 @@ runSharedShot(const SharedShotContext &ctx, std::uint64_t seed,
                     applyGateChunked(
                         state, events[ev].gate,
                         deadPredicate(plan.prune, live,
-                                      plan.chunkBits));
+                                      plan.chunkBits),
+                        tier);
                     ++ev;
                 }
                 at = stop;
@@ -303,10 +307,6 @@ ExecutionEngine::runBatched(const Circuit &circuit,
                      static_cast<double>(plan.sweeps.size()));
         br.stats.set(statkeys::noiseArmedSites,
                      static_cast<double>(plan.armedSites));
-
-        std::optional<ScopedKernelTier> tier;
-        if (options_.fastMath && kernelTier() != KernelTier::Fast)
-            tier.emplace(KernelTier::Fast);
 
         const SharedShotContext ctx{
             plan, model, options_,

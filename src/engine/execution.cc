@@ -9,7 +9,6 @@
 #include "fault/injector.hh"
 #include "fault/integrity.hh"
 #include "statevec/chunked.hh"
-#include "statevec/kernel_dispatch.hh"
 
 namespace qgpu
 {
@@ -86,17 +85,6 @@ ExecutionEngine::run(const Circuit &circuit)
     result.engine = name();
     if (options_.recordTrace || options_.recordTimeline)
         result.trace.enable();
-
-    // The kernel tier is a process-global read by makeKernelSpec;
-    // scope the opt-in to this run so interleaved exact runs (e.g.
-    // the differential reference) are unaffected. Engaged only when
-    // the tier actually changes: concurrent runs that already match
-    // the ambient tier (the service layer's steady state) must not
-    // fight over the global. Runs without the opt-in inherit the
-    // ambient tier, as before.
-    std::optional<ScopedKernelTier> tier;
-    if (options_.fastMath && kernelTier() != KernelTier::Fast)
-        tier.emplace(KernelTier::Fast);
 
     std::optional<StateVector> state;
     try {

@@ -228,8 +228,10 @@ struct ExecOptions
 
     /**
      * Run the fast-math kernel tier (kernel_dispatch.hh,
-     * KernelTier::Fast): contracted-FMA duplicates of the specialized
-     * kernels, accuracy-bounded at 1e-12 against the exact tier.
+     * KernelTier::Fast): the specialized kernels compiled with
+     * contracted FMAs, accuracy-bounded at 1e-12 against the exact
+     * tier. A per-run value: the engine passes it down to every
+     * kernel it lowers, so runs on either tier can share a process.
      * Defaults to the QGPU_FAST_MATH environment flag (see
      * defaultFastMath) so the CLI/env opt-in reaches every engine;
      * the default tier stays bit-identical when this is off.

@@ -55,39 +55,29 @@ StreamingEngine::execute(const Circuit &circuit, RunResult &result)
                          static_cast<double>(ordered.numGates()));
     }
 
-    // Whole state resident on a single GPU: no streaming needed.
-    if (machine().numDevices() == 1 &&
-        stateBytes(circuit.numQubits()) <=
-            machine().device(0).spec().memBytes) {
-        return executeResident(ordered, result);
-    }
-
-    // Every device can hold its balanced shard: sharded-resident
-    // execution with batched peer exchange. Otherwise the state
-    // exceeds the devices' combined memory and falls through to
-    // round-robin host streaming (§V-E).
-    if (machine().numDevices() > 1) {
-        const int n_q = ordered.numQubits();
-        const int cb = baseChunkBits(n_q);
-        const Index num_chunks = Index{1} << (n_q - cb);
-        const Index D =
-            static_cast<Index>(machine().numDevices());
-        const std::uint64_t shard_bytes =
-            ((num_chunks + D - 1) / D) *
-            ((Index{1} << cb) * ampBytes);
-        bool fits = true;
-        for (int d = 0; d < machine().numDevices(); ++d)
-            fits = fits && shard_bytes <=
-                               machine().device(d).spec().memBytes;
-        if (fits)
-            return executeSharded(ordered, result);
-    }
-
-    auto &stats = result.stats;
-    auto &trace = result.trace;
     Machine &m = machine();
     const int n = ordered.numQubits();
     const int num_devs = m.numDevices();
+    const int base_bits = baseChunkBits(n);
+
+    // Every device can hold its balanced shard (with one device: the
+    // whole state): sharded-resident execution with batched peer
+    // exchange. Otherwise the state exceeds the devices' combined
+    // memory and falls through to round-robin host streaming (§V-E).
+    const Index D = static_cast<Index>(num_devs);
+    const std::uint64_t shard_bytes =
+        (((Index{1} << (n - base_bits)) + D - 1) / D) *
+        ((Index{1} << base_bits) * ampBytes);
+    bool fits = true;
+    for (int d = 0; d < num_devs; ++d)
+        fits = fits && shard_bytes <= m.device(d).spec().memBytes;
+    if (fits)
+        return executeSharded(ordered, result);
+
+    auto &stats = result.stats;
+    auto &trace = result.trace;
+    const KernelTier tier =
+        options().fastMath ? KernelTier::Fast : KernelTier::Exact;
     // Storage lane width drives every modeled byte count. f32 halves
     // it; adaptive plans capacity at the wide lane (chunks may be
     // promoted at any sweep) and accounts per chunk where it matters.
@@ -95,7 +85,6 @@ StreamingEngine::execute(const Circuit &circuit, RunResult &result)
     const double per_amp_bytes =
         2.0 * static_cast<double>(ampStoredBytes(narrow)); // r + w
 
-    const int base_bits = baseChunkBits(n);
     const int min_bits = std::clamp(n - 14, 0, base_bits);
     const bool dynamic = options().prune && options().dynamicChunks;
 
@@ -248,7 +237,7 @@ StreamingEngine::execute(const Circuit &circuit, RunResult &result)
                 options().prune ? &mask : nullptr);
             applySweepChunked(
                 state, all_gates.subspan(sw.begin, sw.size()),
-                sw.globalBits, chunk_dead);
+                sw.globalBits, chunk_dead, tier);
             sweep_end = sw.end;
             // Re-apply the storage-precision policy to the post-sweep
             // data before anything ships or is checksummed: fp32-lane
@@ -564,132 +553,6 @@ StreamingEngine::execute(const Circuit &circuit, RunResult &result)
 }
 
 StateVector
-StreamingEngine::executeResident(const Circuit &circuit,
-                                 RunResult &result)
-{
-    auto &stats = result.stats;
-    auto &trace = result.trace;
-    Machine &m = machine();
-    auto &dev = m.device(0);
-    const int n = circuit.numQubits();
-    const int chunk_bits = baseChunkBits(n);
-    const bool narrow = options().precision == Precision::f32;
-    const double per_amp_bytes =
-        2.0 * static_cast<double>(ampStoredBytes(narrow));
-
-    // The resident path moves the state across the bus exactly twice;
-    // transfer faults still apply to both bulk transfers (per-chunk
-    // integrity bookkeeping is a streaming-path concern).
-    FaultInjector injector(FaultSpec::resolve(options().faultSpec),
-                           options().faultSeed);
-    ChunkedStateVector state(n, chunk_bits,
-                             makeStorageConfig(options(), &injector));
-    if (options().precision != Precision::f64)
-        state.setPrecision(options().precision,
-                           options().adaptiveThreshold);
-    InvolvementMask mask(n, options().involvement);
-    const int retries = options().transferRetries;
-
-    // One bulk upload, kernels only, one bulk download. The bulk
-    // transfers are priced at the stored (lane-aware) size; the
-    // download re-reads it after the run since adaptive lanes may
-    // have shifted.
-    std::uint64_t total_bytes = state.totalStoredBytes();
-    VTime t = guardedTransfer(
-        &injector, FaultPoint::H2D, retries, -1, stats, 0.0,
-        [&](VTime s) {
-            const VTime done = dev.h2dEngine().schedule(
-                s, m.contendedHostLink(dev.spec().h2d)
-                       .transferTime(total_bytes));
-            stats.add(statkeys::bytesH2d,
-                      static_cast<double>(total_bytes));
-            trace.record(phases::h2d, "xfer",
-                         dev.spec().name + ".h2d", s, done);
-            return done;
-        });
-
-    // Functional updates run sweep-at-a-time (one chunk-major pass
-    // per sweep); the loop below keeps the per-gate kernel-time
-    // bookkeeping of the resident model.
-    const std::span<const Gate> all_gates{circuit.gates()};
-    std::size_t sweep_end = 0;
-    const ZeroPredicate chunk_dead =
-        options().prune
-            ? ZeroPredicate([&](Index c) {
-                  return !mask.chunkIsLive(c, chunk_bits);
-              })
-            : ZeroPredicate{};
-
-    std::vector<Index> live_groups;
-    std::vector<Index> member_scratch;
-    std::size_t gate_idx = 0;
-    for (const Gate &gate : circuit.gates()) {
-        if (gate_idx == sweep_end) {
-            const Sweep sw = nextSweep(
-                all_gates, gate_idx, chunk_bits,
-                options().prune ? &mask : nullptr);
-            applySweepChunked(
-                state, all_gates.subspan(sw.begin, sw.size()),
-                sw.globalBits, chunk_dead);
-            sweep_end = sw.end;
-            state.refreshPrecision();
-        }
-        ++gate_idx;
-        const GatePlan plan(gate, n, chunk_bits);
-        live_groups.clear();
-        for (Index g = 0; g < plan.numGroups(); ++g) {
-            bool any_live = !options().prune;
-            if (!any_live) {
-                plan.membersInto(g, member_scratch);
-                any_live = std::any_of(
-                    member_scratch.begin(), member_scratch.end(),
-                    [&](Index c) {
-                        return mask.chunkIsLive(c, chunk_bits);
-                    });
-            }
-            if (any_live)
-                live_groups.push_back(g);
-        }
-        const double frac =
-            static_cast<double>(live_groups.size()) /
-            static_cast<double>(plan.numGroups());
-        const double flops = kernels::gateFlops(gate, n) * frac;
-        const double bytes = static_cast<double>(stateSize(n)) *
-                             per_amp_bytes * frac;
-        const VTime dur = dev.kernelTime(flops, bytes);
-        t = dev.compute().schedule(t, dur);
-        trace.record(phases::compute, "kernel",
-                     dev.spec().name + ".compute", t - dur, t);
-        stats.add(statkeys::flopsDevice, flops);
-        stats.add(statkeys::deviceMemBytes, bytes);
-        stats.add(statkeys::gatesApplied, 1.0);
-        if (options().prune)
-            mask.involve(gate);
-    }
-
-    total_bytes = state.totalStoredBytes();
-    guardedTransfer(
-        &injector, FaultPoint::D2H, retries,
-        static_cast<std::int64_t>(circuit.numGates()), stats, t,
-        [&](VTime s) {
-            const VTime done = dev.d2hEngine().schedule(
-                s, m.contendedHostLink(dev.spec().d2h)
-                       .transferTime(total_bytes));
-            stats.add(statkeys::bytesD2h,
-                      static_cast<double>(total_bytes));
-            trace.record(phases::d2h, "xfer",
-                         dev.spec().name + ".d2h", s, done);
-            return done;
-        });
-
-    if (state.precision() == Precision::adaptive)
-        stats.set("precision.promoted_chunks",
-                  static_cast<double>(state.promotedChunks()));
-    exportStorageStats(state, stats);
-    return state.takeFlat();
-}
-
-StateVector
 StreamingEngine::executeSharded(const Circuit &circuit,
                                 RunResult &result)
 {
@@ -702,6 +565,8 @@ StreamingEngine::executeSharded(const Circuit &circuit,
     const bool narrow = options().precision == Precision::f32;
     const double per_amp_bytes =
         2.0 * static_cast<double>(ampStoredBytes(narrow));
+    const KernelTier tier =
+        options().fastMath ? KernelTier::Fast : KernelTier::Exact;
 
     // The shard map is fixed for the run: chunk geometry stays at the
     // base size (a rechunk would re-shard the whole state, costing the
@@ -884,7 +749,7 @@ StreamingEngine::executeSharded(const Circuit &circuit,
 
         applySweepChunked(state,
                           all_gates.subspan(sw.begin, sw.size()),
-                          sw.globalBits, chunk_dead);
+                          sw.globalBits, chunk_dead, tier);
         // Round fp32-lane chunks (and re-tag adaptive lanes) before
         // the scatter ships or checksums the post-sweep data.
         state.refreshPrecision();

@@ -19,7 +19,9 @@
  * path instead: each device keeps its top-bits shard resident, sweeps
  * run concurrently on every device's compute engine, and sweeps whose
  * coupled chunk-index bits cross the shard boundary pay one batched
- * gather/scatter exchange phase over the peer links.
+ * gather/scatter exchange phase over the peer links. A state that
+ * fits one GPU is that path's one-device case: one bulk upload,
+ * kernels only, one bulk download, and no exchange.
  */
 
 #ifndef QGPU_ENGINE_STREAMING_HH
@@ -52,15 +54,11 @@ class StreamingEngine : public ExecutionEngine
                         RunResult &result) override;
 
   private:
-    /** Fully device-resident run (state fits on one GPU). */
-    StateVector executeResident(const Circuit &circuit,
-                                RunResult &result);
-
     /**
-     * Multi-device run with every device holding its shard resident:
+     * Device-resident run with every device holding its shard:
      * concurrent per-device sweeps plus batched peer exchange for
-     * cross-shard sweeps. Taken when numDevices() > 1 and the largest
-     * balanced shard fits every device's memory.
+     * cross-shard sweeps. Taken whenever the largest balanced shard
+     * fits every device's memory, one device included.
      */
     StateVector executeSharded(const Circuit &circuit,
                                RunResult &result);

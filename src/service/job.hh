@@ -101,8 +101,8 @@ struct JobRequest
     Precision precision = Precision::f64;
     /** Adaptive-precision promotion threshold (used when adaptive). */
     double adaptiveThreshold = 1e-6;
-    /** Fast-math kernel tier opt-in (result-affecting; must match
-     *  the service's process-wide tier, see ServiceConfig). */
+    /** Fast-math kernel tier opt-in for this job's run
+     *  (result-affecting, so part of the simulation key). */
     bool fastMath = false;
     /** Fault-injection spec ("" = none). Armed jobs bypass caching. */
     std::string faultSpec;

@@ -139,10 +139,6 @@ JobService::submit(const JobRequest &request)
     }
     if (reject.empty() && !knownEngine(request.engine))
         reject = "unknown engine '" + request.engine + "'";
-    if (reject.empty() && request.fastMath != config_.fastMath)
-        reject = "fast-math tier mismatch (service runs the " +
-                 std::string(config_.fastMath ? "fast" : "exact") +
-                 " tier process-wide)";
     // Noise admission: the spec folds into the simulation key, so it
     // must be self-contained ("env" would make identity depend on
     // the service's environment), and a noisy job with no shots has

@@ -6,8 +6,8 @@
  * Flow of one submission:
  *
  *   submit(request)
- *     |- admission: reject on invalid request, tier mismatch, or a
- *     |  full queue (maxQueueDepth) -> JobStatus::Rejected
+ *     |- admission: reject on invalid request or a full queue
+ *     |  (maxQueueDepth) -> JobStatus::Rejected
  *     |- cache lookup (cacheable jobs): hit -> JobStatus::Done
  *     |  immediately, no queue slot, no engine run
  *     |- single-flight: an identical cacheable job already queued or
@@ -33,10 +33,9 @@
  * Determinism: results are bit-identical regardless of concurrency,
  * because thread count, device count, and storage backend do not
  * affect amplitudes (PRs 2/6/8) and every job executes the canonical
- * circuit form (qc/canonical.hh). The ONE process-global that could
- * break this — the fast-math kernel tier — is pinned per service:
- * jobs whose fastMath flag differs from ServiceConfig::fastMath are
- * rejected at admission.
+ * circuit form (qc/canonical.hh). The kernel tier is a per-run value
+ * taken from JobRequest::fastMath (and part of the simulation key),
+ * so exact and fast jobs run side by side in one service.
  *
  * Counters (mirrored into MetricsRegistry::global(), see
  * common/metrics.hh): service.submitted, service.rejected,
@@ -90,8 +89,6 @@ struct ServiceConfig
     /** Result-cache budget in bytes (0 disables the cache). */
     std::size_t cacheBytes = std::size_t{512} << 20;
     int cacheShards = 8;
-    /** Process-wide fast-math tier; jobs must match (see file doc). */
-    bool fastMath = false;
     /** Start with dispatch paused (tests: queue, then resume()). */
     bool startPaused = false;
 };

@@ -271,7 +271,7 @@ struct SweepOp
  */
 std::vector<SweepOp>
 buildSweepOps(std::span<const Gate> gates, const std::vector<int> &G,
-              int num_qubits, int chunk_bits)
+              int num_qubits, int chunk_bits, KernelTier tier)
 {
     const int sub_qubits = chunk_bits + static_cast<int>(G.size());
     const Index num_chunks = Index{1} << (num_qubits - chunk_bits);
@@ -306,7 +306,7 @@ buildSweepOps(std::span<const Gate> gates, const std::vector<int> &G,
             const std::vector<int> gbits =
                 gateGlobalBits(gate, chunk_bits);
             if (gbits.empty()) {
-                op.spec = makeKernelSpec(gate);
+                op.spec = makeKernelSpec(gate, tier);
                 op.amps = num_chunks * specAmps(op.spec, chunk_bits);
             } else {
                 if (gbits != G)
@@ -316,7 +316,7 @@ buildSweepOps(std::span<const Gate> gates, const std::vector<int> &G,
                                chunk_bits);
                 op.cross = true;
                 op.spec = makeKernelSpec(
-                    remapGateForGroup(gate, G, chunk_bits));
+                    remapGateForGroup(gate, G, chunk_bits), tier);
                 op.amps = num_groups * specAmps(op.spec, sub_qubits);
             }
             op.kind = op.spec.kind;
@@ -447,92 +447,8 @@ applyGroup(ChunkedStateVector &state, const Gate &gate,
 }
 
 void
-applyGroups(ChunkedStateVector &state, const Gate &gate,
-            const GatePlan &plan, std::span<const Index> groups)
-{
-    if (groups.empty())
-        return;
-    const int threads = simThreads();
-    // Bounded storage: make every chunk this batch touches resident
-    // before fanning out (workers must never trigger a refill). The
-    // batch is caller-sized, so no block pipeline here — a batch
-    // larger than the working set transiently overshoots, which is
-    // safe (pinned chunks are never evicted).
-    std::vector<Index> pinned;
-    if (state.boundedStorage()) {
-        if (plan.perChunk()) {
-            pinned.assign(groups.begin(), groups.end());
-        } else {
-            std::vector<Index> members;
-            for (Index g : groups) {
-                plan.membersInto(g, members);
-                pinned.insert(pinned.end(), members.begin(),
-                              members.end());
-            }
-        }
-        state.residency()->pin(pinned);
-    }
-    struct Unpin
-    {
-        ChunkedStateVector &state;
-        const std::vector<Index> &chunks;
-        ~Unpin()
-        {
-            if (!chunks.empty())
-                state.residency()->unpin(chunks);
-        }
-    } unpin{state, pinned};
-    if (plan.perChunk()) {
-        if (gate.isDiagonal()) {
-            const GateMatrix m = gate.matrix();
-            parallelFor(
-                0, groups.size(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    for (std::uint64_t i = lo; i < hi; ++i)
-                        applyDiagToChunk(state, m, gate.qubits,
-                                         groups[i]);
-                },
-                1, static_cast<double>(state.chunkSize()));
-            recordKernelMetrics(diagKindOf(gate.numQubits()),
-                                groups.size() * state.chunkSize());
-            return;
-        }
-        const KernelSpec spec = makeKernelSpec(gate);
-        parallelFor(
-            0, groups.size(), threads,
-            [&](std::uint64_t lo, std::uint64_t hi) {
-                for (std::uint64_t i = lo; i < hi; ++i)
-                    applySpecToChunk(state, spec, groups[i]);
-            },
-            1,
-            static_cast<double>(specAmps(spec, state.chunkBits())));
-        recordKernelMetrics(spec.kind,
-                            groups.size() *
-                                specAmps(spec, state.chunkBits()));
-        return;
-    }
-    const Gate remapped = remapGateForGroup(gate, plan.globalBits(),
-                                            state.chunkBits());
-    const KernelSpec spec = makeKernelSpec(remapped);
-    const int sub_qubits =
-        state.chunkBits() + static_cast<int>(plan.globalBits().size());
-    parallelFor(
-        0, groups.size(), threads,
-        [&](std::uint64_t lo, std::uint64_t hi) {
-            GroupScratch scratch;
-            for (std::uint64_t i = lo; i < hi; ++i) {
-                plan.membersInto(groups[i], scratch.members);
-                applyGroupPrepared(state, spec, plan, scratch);
-            }
-        },
-        1, static_cast<double>(specAmps(spec, sub_qubits)));
-    recordKernelMetrics(spec.kind,
-                        groups.size() * specAmps(spec, sub_qubits));
-}
-
-void
 applyGateChunked(ChunkedStateVector &state, const Gate &gate,
-                 const ZeroPredicate &zero)
+                 const ZeroPredicate &zero, KernelTier tier)
 {
     const WallClock wall;
     const GatePlan plan(gate, state.numQubits(), state.chunkBits());
@@ -589,7 +505,7 @@ applyGateChunked(ChunkedStateVector &state, const Gate &gate,
         recordKernelMetrics(diagKindOf(gate.numQubits()),
                             stateSize(state.numQubits()));
     } else if (plan.perChunk()) {
-        const KernelSpec spec = makeKernelSpec(gate);
+        const KernelSpec spec = makeKernelSpec(gate, tier);
         for_each_live_chunk(
             static_cast<double>(specAmps(spec, state.chunkBits())),
             [&](Index g) { applySpecToChunk(state, spec, g); });
@@ -599,7 +515,7 @@ applyGateChunked(ChunkedStateVector &state, const Gate &gate,
     } else {
         const Gate remapped = remapGateForGroup(
             gate, plan.globalBits(), state.chunkBits());
-        const KernelSpec spec = makeKernelSpec(remapped);
+        const KernelSpec spec = makeKernelSpec(remapped, tier);
         const int sub_qubits =
             state.chunkBits() +
             static_cast<int>(plan.globalBits().size());
@@ -668,7 +584,7 @@ void
 applySweepChunked(ChunkedStateVector &state,
                   std::span<const Gate> gates,
                   const std::vector<int> &global_bits,
-                  const ZeroPredicate &zero)
+                  const ZeroPredicate &zero, KernelTier tier)
 {
     if (gates.empty())
         return;
@@ -676,8 +592,8 @@ applySweepChunked(ChunkedStateVector &state,
     const int chunk_bits = state.chunkBits();
     const int num_qubits = state.numQubits();
     const Index chunk_size = state.chunkSize();
-    const std::vector<SweepOp> ops =
-        buildSweepOps(gates, global_bits, num_qubits, chunk_bits);
+    const std::vector<SweepOp> ops = buildSweepOps(
+        gates, global_bits, num_qubits, chunk_bits, tier);
     const int threads = simThreads();
 
     if (global_bits.empty()) {

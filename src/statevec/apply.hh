@@ -10,11 +10,11 @@
  * every engine computes bit-identical states.
  *
  * Groups of one plan touch disjoint chunk sets, so applying many
- * groups concurrently is race-free by construction; applyGroups and
- * applyGateChunked fan the groups out across the shared thread pool
- * (common/thread_pool.hh) when simThreads() > 1. Each worker reuses
- * one GroupScratch across its groups, so the hot loop performs no
- * per-group heap allocation.
+ * groups concurrently is race-free by construction; applyGateChunked
+ * and applySweepChunked fan the groups out across the shared thread
+ * pool (common/thread_pool.hh) when simThreads() > 1. Each worker
+ * reuses one GroupScratch across its groups, so the hot loop performs
+ * no per-group heap allocation.
  *
  * Gate application itself goes through the kernel-dispatch layer
  * (statevec/kernel_dispatch.hh): each gate is classified once into a
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "statevec/chunked.hh"
+#include "statevec/kernel_dispatch.hh"
 
 namespace qgpu
 {
@@ -104,24 +105,18 @@ void applyGroup(ChunkedStateVector &state, const Gate &gate,
                 const GatePlan &plan, Index group);
 
 /**
- * Apply @p gate to each listed group, fanned out across the thread
- * pool (simThreads() workers). Groups touch disjoint chunks, so the
- * concurrent application is race-free and bit-identical to the
- * sequential order.
- */
-void applyGroups(ChunkedStateVector &state, const Gate &gate,
-                 const GatePlan &plan, std::span<const Index> groups);
-
-/**
  * Apply @p gate to the whole chunked state, skipping groups whose
  * member chunks are all reported zero by @p zero (mathematically a
  * no-op: an all-zero vector stays zero under any linear map). The
  * surviving groups run concurrently on the thread pool. @p zero must
  * be safe to call from several threads (engines pass pure functions
- * of immutable masks).
+ * of immutable masks). Non-diagonal gates run the kernels of
+ * @p tier; diagonal gates fold their selector bits per chunk and
+ * always run the exact kernels.
  */
 void applyGateChunked(ChunkedStateVector &state, const Gate &gate,
-                      const ZeroPredicate &zero = {});
+                      const ZeroPredicate &zero = {},
+                      KernelTier tier = KernelTier::Exact);
 
 /**
  * Apply one scheduled sweep (sched/sweep.hh) of @p gates in a single
@@ -147,6 +142,8 @@ void applyGateChunked(ChunkedStateVector &state, const Gate &gate,
  * must be a sweep produced by nextSweep at this chunk size; anything
  * else is fatal.
  *
+ * @p tier selects the kernels exactly as in applyGateChunked.
+ *
  * Publishes sweep.count / sweep.state_passes counters, the
  * sweep.gates_per_sweep histogram, and per-gate kernel counters with
  * the same modeled totals as applyGateChunked (once per gate per
@@ -155,7 +152,8 @@ void applyGateChunked(ChunkedStateVector &state, const Gate &gate,
 void applySweepChunked(ChunkedStateVector &state,
                        std::span<const Gate> gates,
                        const std::vector<int> &global_bits,
-                       const ZeroPredicate &zero = {});
+                       const ZeroPredicate &zero = {},
+                       KernelTier tier = KernelTier::Exact);
 
 /** Run a whole circuit sweep-by-sweep (nextSweep at the state's chunk
  *  size feeding applySweepChunked), the single-pass-per-sweep default

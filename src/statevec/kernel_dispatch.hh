@@ -10,10 +10,12 @@
  * targets, blocked two-level loops for high targets — instead of the
  * generic accessor-indirected dense matvec in kernels.hh.
  *
- * kernels.hh remains the reference implementation; the differential
- * suite (tests/test_kernel_dispatch.cc) asserts every specialized
- * kernel is bit-identical (tolerance 0) to it. All kernels take a
- * [begin, end) range in the kind's work-item space so parallel
+ * The kernels are written once, in kernel_body.inc, and compiled
+ * twice: kern:: is the exact tier, kernfast:: the fast-math tier (see
+ * KernelTier). kernels.hh remains the reference implementation; the
+ * differential suite (tests/test_kernel_dispatch.cc) asserts every
+ * exact-tier kernel is bit-identical (tolerance 0) to it. All kernels
+ * take a [begin, end) range in the kind's work-item space so parallel
  * callers can split freely; any split yields the same result as one
  * full-range call.
  *
@@ -58,13 +60,19 @@ inline constexpr int numKernelKinds = 8;
 const char *kernelKindName(KernelKind kind);
 
 /**
- * Execution tier a spec is lowered for. @c Exact runs the default
- * kernels, bit-identical (tolerance 0) to kernels.hh. @c Fast runs
- * the duplicated kernels in kernel_fast.cc, compiled with
- * -ffp-contract=fast and the host's FMA/AVX-512 instruction sets
- * (CMake option QGPU_FAST_MATH): same arithmetic, contracted
- * rounding, accuracy-bounded at 1e-12 against Exact by the
- * differential suites.
+ * Execution tier a spec is lowered for. The kernels are written once,
+ * in kernel_body.inc, and compiled twice. @c Exact runs the kern::
+ * compilation (kernel_dispatch.cc, default flags), bit-identical
+ * (tolerance 0) to kernels.hh. @c Fast runs the kernfast::
+ * compilation (kernel_fast.cc, -ffp-contract=fast and the host's
+ * FMA/AVX-512 sets under CMake option QGPU_FAST_MATH): same
+ * arithmetic, contracted rounding, accuracy-bounded at 1e-12 against
+ * Exact by the differential suites.
+ *
+ * The tier is a per-run value, never a process global: engines pass
+ * ExecOptions::fastMath down to makeKernelSpec, so runs on different
+ * tiers can share one process. Direct kernel users — including the
+ * tolerance-0 differential suites — get Exact unless they ask.
  */
 enum class KernelTier
 {
@@ -73,39 +81,12 @@ enum class KernelTier
 };
 
 /**
- * Process-wide tier makeKernelSpec lowers new specs for. Defaults to
- * Exact; engines set it (scoped) from ExecOptions::fastMath, benches
- * and tests set it directly. Deliberately NOT read from the
- * environment here: QGPU_FAST_MATH=1 opts the ENGINES in (see
- * ExecOptions), while direct kernel users — including the tolerance-0
- * differential suites — stay exact unless they ask.
- */
-KernelTier kernelTier();
-void setKernelTier(KernelTier tier);
-
-/**
  * True when kernel_fast.cc was compiled with the fast-math flag set
  * (QGPU_FAST_MATH=ON). When false the Fast tier still dispatches to
- * the duplicated kernels, which then compile under the default flags
- * and meet the 1e-12 contract trivially.
+ * kernfast::, which then compiles under the default flags and meets
+ * the 1e-12 contract trivially.
  */
 bool fastMathCompiled();
-
-/** RAII tier override for engines/benches: set on entry, restore. */
-class ScopedKernelTier
-{
-  public:
-    explicit ScopedKernelTier(KernelTier tier) : prev_(kernelTier())
-    {
-        setKernelTier(tier);
-    }
-    ~ScopedKernelTier() { setKernelTier(prev_); }
-    ScopedKernelTier(const ScopedKernelTier &) = delete;
-    ScopedKernelTier &operator=(const ScopedKernelTier &) = delete;
-
-  private:
-    KernelTier prev_;
-};
 
 /**
  * A gate lowered to its kernel class: targets pre-sorted, control
@@ -142,12 +123,14 @@ struct KernelSpec
     /** Full matrix for Dense2q / DenseK / DiagK. */
     GateMatrix matrix{2};
 
-    /** Tier the spec was lowered for (kernelTier() at build time). */
+    /** Tier the spec was lowered for (makeKernelSpec's argument). */
     KernelTier tier = KernelTier::Exact;
 };
 
-/** Classify @p gate and lower it to a KernelSpec (once per gate). */
-KernelSpec makeKernelSpec(const Gate &gate);
+/** Classify @p gate and lower it to a KernelSpec for @p tier (once
+ *  per gate). */
+KernelSpec makeKernelSpec(const Gate &gate,
+                          KernelTier tier = KernelTier::Exact);
 
 /**
  * Number of independent work items applyKernel iterates for this
@@ -162,7 +145,8 @@ int kernelItemWidth(const KernelSpec &spec);
 
 /**
  * Apply the spec'd gate to the contiguous n-qubit register at
- * @p data, over work items [begin, end). Bit-identical to
+ * @p data, over work items [begin, end), through the kernels of
+ * spec.tier. On the Exact tier this is bit-identical to
  * kernels::applyGate on the same range for finite amplitudes.
  */
 void applyKernel(const KernelSpec &spec, Amp *data, int num_qubits,
@@ -176,10 +160,10 @@ void applyKernel(const KernelSpec &spec, Amp *data, int num_qubits,
 void recordKernelMetrics(KernelKind kind, Index amps);
 
 /**
- * Low-level contiguous kernels, exposed for the chunked diagonal
- * path (which folds chunk-global selector bits into the LUT before
- * calling) and for microbenchmarks. Ranges are in each kernel's own
- * work-item space, as in applyKernel.
+ * Exact-tier kernels (kernel_body.inc compiled in kernel_dispatch.cc).
+ * The diagonal ones are exposed for the chunked diagonal path, which
+ * folds chunk-global selector bits into the LUT before calling.
+ * Ranges are in each kernel's own work-item space, as in applyKernel.
  */
 namespace kern
 {
@@ -198,69 +182,25 @@ void diag2(Amp *data, int t_lo, int t_hi, const Amp *lut,
            Index begin, Index end);
 
 /**
- * k-qubit diagonal over amplitudes [begin, end): the diagonal entry
- * is selected by the amplitude's bits at @p qubits (matrix order).
+ * applyKernel's switch without the range clamp: run the spec's kind
+ * over work items [begin, end), which must lie within
+ * kernelWorkItems(spec, num_qubits). Ignores spec.tier.
  */
-void diagK(Amp *data, const std::vector<int> &qubits,
-           const GateMatrix &m, Index begin, Index end);
-
-/** Dense 1q over pair indices [begin, end); @p m row-major 2x2. */
-void dense1(Amp *data, int t, const Amp *m, Index begin, Index end);
-
-/** X-like 1q over pairs [begin, end): a0' = m01*a1, a1' = m10*a0. */
-void perm1(Amp *data, int t, Amp m01, Amp m10, Index begin,
-           Index end);
-
-/**
- * Controlled dense 1q over control-satisfying pair indices
- * [begin, end): @p fixed_sorted lists controls+target ascending,
- * @p cmask is the control bit mask, @p m the 2x2 target block.
- */
-void ctrl1(Amp *data, int t, const std::vector<int> &fixed_sorted,
-           Index cmask, const Amp *m, Index begin, Index end);
-
-/**
- * Dense 2q over group indices [begin, end); @p q0, @p q1 in matrix
- * order (matrix index bit 0 <-> q0), @p m row-major 4x4.
- */
-void dense2(Amp *data, int q0, int q1, const Amp *m, Index begin,
-            Index end);
+void dispatch(const KernelSpec &spec, Amp *data, int num_qubits,
+              Index begin, Index end);
 
 } // namespace kern
 
 /**
- * Fast-tier duplicates of the kern:: kernels plus the dense k-qubit
- * matvec, defined in kernel_fast.cc — a separate translation unit so
- * CMake can hand it -ffp-contract=fast and the native FMA/AVX-512
- * sets without touching the exact tier's code generation. Signatures
- * and work-item spaces match kern:: exactly; results are within
- * 1e-12 of the exact kernels (contracted rounding only).
+ * The same kernels compiled in kernel_fast.cc under the fast-math
+ * flags (see KernelTier). Only the dispatch entry is exposed.
  */
 namespace kernfast
 {
 
-void scale(Amp *data, Amp f, Index begin, Index end);
-void diag1(Amp *data, int t, Amp d0, Amp d1, Index begin, Index end);
-void diag2(Amp *data, int t_lo, int t_hi, const Amp *lut,
-           Index begin, Index end);
-void diagK(Amp *data, const std::vector<int> &qubits,
-           const GateMatrix &m, Index begin, Index end);
-void dense1(Amp *data, int t, const Amp *m, Index begin, Index end);
-void perm1(Amp *data, int t, Amp m01, Amp m10, Index begin,
-           Index end);
-void ctrl1(Amp *data, int t, const std::vector<int> &fixed_sorted,
-           Index cmask, const Amp *m, Index begin, Index end);
-void dense2(Amp *data, int q0, int q1, const Amp *m, Index begin,
-            Index end);
-
-/** Dense k>=3 matvec over group indices [begin, end). */
-void denseK(Amp *data, int num_qubits,
-            const std::vector<int> &qubits, const GateMatrix &m,
-            Index begin, Index end);
-
-/** Fast-tier dispatch, mirroring applyKernel's switch. */
-void applyKernelFast(const KernelSpec &spec, Amp *data,
-                     int num_qubits, Index begin, Index end);
+/** kern::dispatch, fast-tier compilation. */
+void dispatch(const KernelSpec &spec, Amp *data, int num_qubits,
+              Index begin, Index end);
 
 } // namespace kernfast
 

@@ -1,19 +1,18 @@
 /**
  * @file
- * Fast-tier kernels: the 8 specialized kernels of kernel_dispatch.cc
- * duplicated into their own translation unit so the build can compile
- * JUST this file with -ffp-contract=fast plus the host's FMA/AVX-512
- * instruction sets (CMake option QGPU_FAST_MATH) while the exact tier
- * keeps the bit-identity-preserving code generation.
+ * Fast-tier kernels: kernel_body.inc compiled a second time, inside
+ * namespace kernfast, in a translation unit the build hands
+ * -ffp-contract=fast plus the host's FMA/AVX-512 instruction sets
+ * (CMake option QGPU_FAST_MATH) while the exact tier in
+ * kernel_dispatch.cc keeps the bit-identity-preserving code
+ * generation.
  *
- * The loop structure deliberately mirrors kern:: one-for-one — the
- * speedup comes from the code generation, not a different algorithm:
- * under contraction GCC fuses each complex multiply-add's
- * mul/add pairs into vfmaddsub/vfmsubadd FMAs, halving the rounding
- * steps and the arithmetic-port pressure. Each fused step rounds once
- * instead of twice, so any output differs from the exact tier by a
- * reassociation-free sequence of at most one ulp per fused pair;
- * the differential suites bound the end-to-end effect at 1e-12.
+ * The speedup comes from the code generation, not a different
+ * algorithm: under contraction GCC fuses each complex multiply-add's
+ * mul/add pairs into vfmaddsub/vfmsubadd FMAs. Each fused step rounds
+ * once instead of twice, so outputs differ from the exact tier by at
+ * most one ulp per fused pair; the differential suites bound the
+ * end-to-end effect at 1e-12.
  *
  * If QGPU_FAST_MATH is OFF this file compiles under the default flags
  * and the Fast tier degenerates into a second exact tier (the 1e-12
@@ -43,286 +42,7 @@ fastMathCompiled()
 
 namespace kernfast
 {
-
-namespace
-{
-
-// Component-wise complex multiply, as in kernel_dispatch.cc's cmul —
-// but compiled under -ffp-contract=fast, so the mul/add chains the
-// callers build from it contract into FMAs.
-inline Amp
-cmul(const Amp &a, const Amp &b)
-{
-    return Amp{a.real() * b.real() - a.imag() * b.imag(),
-               a.real() * b.imag() + a.imag() * b.real()};
-}
-
-} // namespace
-
-void
-scale(Amp *data, Amp f, Index begin, Index end)
-{
-    for (Index i = begin; i < end; ++i)
-        data[i] = cmul(data[i], f);
-}
-
-void
-diag1(Amp *data, int t, Amp d0, Amp d1, Index begin, Index end)
-{
-    if (t == 0) {
-        for (Index i = begin; i < end; ++i)
-            data[i] = cmul(data[i], (i & 1) ? d1 : d0);
-        return;
-    }
-    const Index run = Index{1} << t;
-    Index i = begin;
-    while (i < end) {
-        const Index blk_end = std::min(end, (i | (run - 1)) + 1);
-        const Amp f = ((i >> t) & 1) ? d1 : d0;
-        for (; i < blk_end; ++i)
-            data[i] = cmul(data[i], f);
-    }
-}
-
-void
-diag2(Amp *data, int t_lo, int t_hi, const Amp *lut, Index begin,
-      Index end)
-{
-    if (t_lo == 0) {
-        for (Index i = begin; i < end; ++i) {
-            const int sel = static_cast<int>(i & 1) |
-                            (static_cast<int>((i >> t_hi) & 1) << 1);
-            data[i] = cmul(data[i], lut[sel]);
-        }
-        return;
-    }
-    const Index run = Index{1} << t_lo;
-    Index i = begin;
-    while (i < end) {
-        const Index blk_end = std::min(end, (i | (run - 1)) + 1);
-        const int sel = static_cast<int>((i >> t_lo) & 1) |
-                        (static_cast<int>((i >> t_hi) & 1) << 1);
-        const Amp f = lut[sel];
-        for (; i < blk_end; ++i)
-            data[i] = cmul(data[i], f);
-    }
-}
-
-void
-diagK(Amp *data, const std::vector<int> &qubits, const GateMatrix &m,
-      Index begin, Index end)
-{
-    const int k = static_cast<int>(qubits.size());
-    for (Index i = begin; i < end; ++i) {
-        int sel = 0;
-        for (int j = 0; j < k; ++j)
-            sel |= static_cast<int>(bits::testBit(i, qubits[j])) << j;
-        data[i] = cmul(data[i], m.at(sel, sel));
-    }
-}
-
-void
-dense1(Amp *data, int t, const Amp *m, Index begin, Index end)
-{
-    const Amp m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
-    if (t == 0) {
-        for (Index p = begin; p < end; ++p) {
-            Amp *a = data + 2 * p;
-            const Amp a0 = a[0], a1 = a[1];
-            a[0] = cmul(m00, a0) + cmul(m01, a1);
-            a[1] = cmul(m10, a0) + cmul(m11, a1);
-        }
-        return;
-    }
-    const Index run = Index{1} << t;
-    Index p = begin;
-    while (p < end) {
-        const Index blk_end = std::min(end, (p | (run - 1)) + 1);
-        Amp *base = data + ((p >> t) << (t + 1));
-        Index j = p & (run - 1);
-        for (; p < blk_end; ++p, ++j) {
-            const Amp a0 = base[j], a1 = base[j + run];
-            base[j] = cmul(m00, a0) + cmul(m01, a1);
-            base[j + run] = cmul(m10, a0) + cmul(m11, a1);
-        }
-    }
-}
-
-void
-perm1(Amp *data, int t, Amp m01, Amp m10, Index begin, Index end)
-{
-    if (t == 0) {
-        for (Index p = begin; p < end; ++p) {
-            Amp *a = data + 2 * p;
-            const Amp a0 = a[0], a1 = a[1];
-            a[0] = cmul(m01, a1);
-            a[1] = cmul(m10, a0);
-        }
-        return;
-    }
-    const Index run = Index{1} << t;
-    Index p = begin;
-    while (p < end) {
-        const Index blk_end = std::min(end, (p | (run - 1)) + 1);
-        Amp *base = data + ((p >> t) << (t + 1));
-        Index j = p & (run - 1);
-        for (; p < blk_end; ++p, ++j) {
-            const Amp a0 = base[j], a1 = base[j + run];
-            base[j] = cmul(m01, a1);
-            base[j + run] = cmul(m10, a0);
-        }
-    }
-}
-
-void
-ctrl1(Amp *data, int t, const std::vector<int> &fixed_sorted,
-      Index cmask, const Amp *m, Index begin, Index end)
-{
-    const Amp m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
-    const Index tbit = Index{1} << t;
-    const int low = fixed_sorted.front();
-    if (low == 0) {
-        for (Index w = begin; w < end; ++w) {
-            const Index i0 =
-                bits::insertZeroBits(w, fixed_sorted) | cmask;
-            const Amp a0 = data[i0], a1 = data[i0 | tbit];
-            data[i0] = cmul(m00, a0) + cmul(m01, a1);
-            data[i0 | tbit] = cmul(m10, a0) + cmul(m11, a1);
-        }
-        return;
-    }
-    const Index run = Index{1} << low;
-    Index w = begin;
-    while (w < end) {
-        const Index blk_end = std::min(end, (w | (run - 1)) + 1);
-        Amp *base =
-            data +
-            (bits::insertZeroBits(w & ~(run - 1), fixed_sorted) |
-             cmask);
-        Index j = w & (run - 1);
-        for (; w < blk_end; ++w, ++j) {
-            const Amp a0 = base[j], a1 = base[j + tbit];
-            base[j] = cmul(m00, a0) + cmul(m01, a1);
-            base[j + tbit] = cmul(m10, a0) + cmul(m11, a1);
-        }
-    }
-}
-
-void
-dense2(Amp *data, int q0, int q1, const Amp *m, Index begin,
-       Index end)
-{
-    const int tl = std::min(q0, q1), th = std::max(q0, q1);
-    const Index o0 = Index{1} << q0, o1 = Index{1} << q1;
-
-    auto update = [&](Amp *a) {
-        const Amp in[4] = {a[0], a[o0], a[o1], a[o0 + o1]};
-        Amp out[4];
-        for (int r = 0; r < 4; ++r) {
-            Amp sum{0, 0};
-            for (int c = 0; c < 4; ++c)
-                sum += cmul(m[4 * r + c], in[c]);
-            out[r] = sum;
-        }
-        a[0] = out[0];
-        a[o0] = out[1];
-        a[o1] = out[2];
-        a[o0 + o1] = out[3];
-    };
-
-    if (tl == 0) {
-        for (Index g = begin; g < end; ++g)
-            update(data +
-                   bits::insertZeroBit(bits::insertZeroBit(g, tl),
-                                       th));
-        return;
-    }
-    const Index run = Index{1} << tl;
-    Index g = begin;
-    while (g < end) {
-        const Index blk_end = std::min(end, (g | (run - 1)) + 1);
-        Amp *base =
-            data + bits::insertZeroBit(
-                       bits::insertZeroBit(g & ~(run - 1), tl), th);
-        Index j = g & (run - 1);
-        for (; g < blk_end; ++g, ++j)
-            update(base + j);
-    }
-}
-
-void
-denseK(Amp *data, int num_qubits, const std::vector<int> &qubits,
-       const GateMatrix &m, Index begin, Index end)
-{
-    // Same offset-table matvec as kernels::applyK, but with the
-    // accessor indirection flattened and cmul in place of operator*
-    // so the accumulation chain contracts.
-    const int k = static_cast<int>(qubits.size());
-    const int dim = 1 << k;
-
-    std::vector<int> sorted = qubits;
-    std::sort(sorted.begin(), sorted.end());
-
-    std::array<Index, 64> offset{};
-    for (int b = 0; b < dim; ++b) {
-        Index off = 0;
-        for (int j = 0; j < k; ++j)
-            if (bits::testBit(static_cast<std::uint64_t>(b), j))
-                off |= Index{1} << qubits[j];
-        offset[b] = off;
-    }
-
-    std::array<Amp, 64> in;
-    const Index groups = stateSize(num_qubits - k);
-    end = std::min(end, groups);
-    for (Index g = begin; g < end; ++g) {
-        const Index base = bits::insertZeroBits(g, sorted);
-        for (int b = 0; b < dim; ++b)
-            in[b] = data[base | offset[b]];
-        for (int r = 0; r < dim; ++r) {
-            Amp sum{0, 0};
-            for (int c = 0; c < dim; ++c)
-                sum += cmul(m.at(r, c), in[c]);
-            data[base | offset[r]] = sum;
-        }
-    }
-}
-
-void
-applyKernelFast(const KernelSpec &spec, Amp *data, int num_qubits,
-                Index begin, Index end)
-{
-    switch (spec.kind) {
-      case KernelKind::Diag1q:
-        diag1(data, spec.target, spec.m1[0], spec.m1[1], begin, end);
-        return;
-      case KernelKind::Diag2q:
-        diag2(data, spec.tLo, spec.tHi, spec.lut, begin, end);
-        return;
-      case KernelKind::DiagK:
-        diagK(data, spec.qubits, spec.matrix, begin, end);
-        return;
-      case KernelKind::Perm1q:
-        perm1(data, spec.target, spec.m1[1], spec.m1[2], begin, end);
-        return;
-      case KernelKind::Ctrl1q:
-        ctrl1(data, spec.target, spec.fixedSorted, spec.ctrlMask,
-              spec.m1, begin, end);
-        return;
-      case KernelKind::Dense1q:
-        dense1(data, spec.target, spec.m1, begin, end);
-        return;
-      case KernelKind::Dense2q:
-        dense2(data, spec.qubits[0], spec.qubits[1],
-               spec.matrix.data().data(), begin, end);
-        return;
-      case KernelKind::DenseK:
-        denseK(data, num_qubits, spec.qubits, spec.matrix, begin,
-               end);
-        return;
-    }
-    QGPU_PANIC("unhandled kernel kind");
-}
-
+#include "statevec/kernel_body.inc"
 } // namespace kernfast
+
 } // namespace qgpu

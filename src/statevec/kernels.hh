@@ -7,11 +7,12 @@
  * An Accessor is any callable mapping a global amplitude index to an
  * Amp reference.
  *
- * Since the kernel-dispatch layer landed (kernel_dispatch.hh), the
- * simulators run specialized contiguous kernels instead; this file is
- * the REFERENCE implementation the dispatch layer is differentially
- * tested against (bit-identical, tolerance 0), and still drives the
- * dense k-qubit case and non-contiguous accessors.
+ * The simulators run the specialized contiguous kernels of the
+ * dispatch layer (kernel_dispatch.hh) for every gate kind, the dense
+ * k-qubit case included. This file is the REFERENCE implementation
+ * that layer is differentially tested against (bit-identical,
+ * tolerance 0), plus gateFlops, the modeled work every engine
+ * charges.
  */
 
 #ifndef QGPU_STATEVEC_KERNELS_HH

@@ -26,11 +26,11 @@ StateVector::StateVector(int num_qubits, std::vector<Amp> amps)
 }
 
 void
-StateVector::apply(const Gate &gate)
+StateVector::apply(const Gate &gate, KernelTier tier)
 {
     const WallClock wall;
     Amp *data = amps_.data();
-    const KernelSpec spec = makeKernelSpec(gate);
+    const KernelSpec spec = makeKernelSpec(gate, tier);
     const Index items = kernelWorkItems(spec, numQubits_);
     const int threads = simThreads();
     if (threads <= 1) {

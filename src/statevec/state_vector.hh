@@ -11,6 +11,7 @@
 
 #include "common/types.hh"
 #include "qc/circuit.hh"
+#include "statevec/kernel_dispatch.hh"
 
 namespace qgpu
 {
@@ -36,8 +37,8 @@ class StateVector
     const std::vector<Amp> &amplitudes() const { return amps_; }
     std::vector<Amp> &amplitudes() { return amps_; }
 
-    /** Apply one gate in place. */
-    void apply(const Gate &gate);
+    /** Apply one gate in place through the kernels of @p tier. */
+    void apply(const Gate &gate, KernelTier tier = KernelTier::Exact);
 
     /** Apply every gate of @p circuit in order. */
     void apply(const Circuit &circuit);

@@ -1,10 +1,11 @@
 /**
  * @file
  * Job-service behavior: JSON round-trips, the job lifecycle,
- * admission control, fair-share dispatch order, single-flight
- * coalescing, result-cache bookkeeping, cancellation, per-job fault
- * isolation, and a concurrent-submission stress (the TSan target for
- * the service layer — scripts/check.sh --tsan runs this binary).
+ * admission control, exact and fast-math jobs sharing one service,
+ * fair-share dispatch order, single-flight coalescing, result-cache
+ * bookkeeping, cancellation, per-job fault isolation, and a
+ * concurrent-submission stress (the TSan target for the service
+ * layer — scripts/check.sh --tsan runs this binary).
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +14,12 @@
 #include <thread>
 #include <vector>
 
+#include "harness/experiment.hh"
+#include "qc/canonical.hh"
 #include "service/result_cache.hh"
 #include "service/scheduler.hh"
 #include "service/traffic.hh"
+#include "statevec/kernel_dispatch.hh"
 
 namespace qgpu
 {
@@ -288,13 +292,70 @@ TEST(JobService, InvalidRequestsAreRejectedNotFatal)
     bad.engine = "no-such-engine";
     EXPECT_EQ(svc.wait(svc.submit(bad)).status,
               JobStatus::Rejected);
+}
 
-    bad = smallJob(15);
-    bad.fastMath = true; // service pinned to the exact tier
-    const JobResult r = svc.wait(svc.submit(bad));
-    EXPECT_EQ(r.status, JobStatus::Rejected);
-    ASSERT_TRUE(r.error.has_value());
-    EXPECT_NE(r.error->detail.find("tier"), std::string::npos);
+TEST(JobService, ExactAndFastJobsShareTheService)
+{
+    // The kernel tier is a per-run value: an exact and a fast job per
+    // family, all queued before the first wait, run side by side with
+    // four jobs in flight.
+    constexpr int kQubits = 8;
+    ServiceConfig cfg;
+    cfg.maxActiveJobs = 4;
+    JobService svc(cfg);
+
+    const auto &families = circuits::benchmarkNames();
+    std::vector<JobRequest> exact, fast;
+    std::vector<std::uint64_t> exact_ids, fast_ids;
+    for (const auto &family : families) {
+        JobRequest r;
+        r.circuit.family = family;
+        r.circuit.qubits = kQubits;
+        r.engine = "qgpu";
+        exact.push_back(r);
+        exact_ids.push_back(svc.submit(r));
+        r.fastMath = true;
+        fast.push_back(r);
+        fast_ids.push_back(svc.submit(r));
+    }
+
+    bool fast_differs = false;
+    for (std::size_t i = 0; i < families.size(); ++i) {
+        const std::string &family = families[i];
+        ASSERT_EQ(svc.wait(exact_ids[i]).status, JobStatus::Done)
+            << family;
+        ASSERT_EQ(svc.wait(fast_ids[i]).status, JobStatus::Done)
+            << family;
+        const auto exact_sim = svc.cachedFor(exact[i]);
+        const auto fast_sim = svc.cachedFor(fast[i]);
+        ASSERT_NE(exact_sim, nullptr) << family;
+        ASSERT_NE(fast_sim, nullptr) << family;
+
+        // A fresh exact run, configured the way the service runs it.
+        ExecOptions options = harness::benchOptions();
+        options.keepState = true;
+        options.faultSpec = "none";
+        options.fastMath = false;
+        Machine machine = machines::makeScaled(
+            kQubits, machines::p100(), cfg.deviceFraction, cfg.devices);
+        const RunResult fresh = harness::runOn(
+            "qgpu", machine, canonicalCircuit(exact[i].circuit.build()),
+            options);
+        ASSERT_TRUE(fresh.ok()) << family;
+        EXPECT_EQ(exact_sim->state.maxAbsDiff(fresh.state), 0.0)
+            << "exact job diverged from a fresh exact run on "
+            << family;
+
+        const double diff =
+            fast_sim->state.maxAbsDiff(exact_sim->state);
+        EXPECT_LT(diff, 1e-12) << "fast job on " << family;
+        fast_differs = fast_differs || diff > 0.0;
+    }
+    // With the contracted kernels compiled in, some fast state must
+    // differ from exact: the job's tier reached the kernels.
+    if (fastMathCompiled()) {
+        EXPECT_TRUE(fast_differs);
+    }
 }
 
 TEST(JobService, FairShareAlternatesSmallBurstsAndLarges)

@@ -61,6 +61,7 @@ TEST_P(ServiceDifferential, CacheHitMatchesFreshSimulationBitwise)
         ExecOptions options = harness::benchOptions();
         options.keepState = true;
         options.faultSpec = "none";
+        options.fastMath = request.fastMath;
         Machine machine = machines::makeScaled(
             kQubits, machines::p100(), config.deviceFraction,
             config.devices);
