@@ -141,7 +141,8 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     cmake --build "$TSAN_DIR" -j "$JOBS" --target test_common \
         test_statevec test_compress test_thread_determinism \
         test_sweep_executor test_shard_differential test_service \
-        test_batched_differential test_observability
+        test_batched_differential test_observability \
+        test_chunk_storage test_storage_differential
     # The parallelism-focused suites: the pool itself, the pool-backed
     # parallelFor / threaded apply, the cross-thread determinism +
     # stress tests, the sweep executor (whose group fan-out chains
@@ -153,9 +154,13 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     # differential (noisy shots replayed at 1 and 4 host threads must
     # stay bit-identical while the shots fan out across the pool), and
     # the metrics registry (lock-free atomic slots updated from many
-    # threads at once, by name and through cached references).
+    # threads at once, by name and through cached references). The
+    # GFC property tests fan a block's segments, or a lone segment's
+    # element ranges, over the pool at 4 threads. The bounded-storage
+    # suites run asynchronous refills: pool tasks decode into chunk
+    # slots while the scheduling thread evicts other chunks.
     ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-        -R 'ThreadPool|TaskGroup|SimThreads|ParallelFor|ThreadedApply|Determinism|Stress|Sweep|ShardDifferential|Service|ResultCache|Batched|Metrics'
+        -R 'ThreadPool|TaskGroup|SimThreads|ParallelFor|ThreadedApply|Determinism|Stress|Sweep|ShardDifferential|Service|ResultCache|Batched|Metrics|GfcProperties|ColdStoreRoundTrip|BoundedState|StorageDifferential'
 fi
 
 if [ "$RUN_ASAN" -eq 1 ]; then

@@ -139,6 +139,19 @@ codecGrain()
 }
 
 /**
+ * parallelFor cost hint of a loop over segments of @p per words, in
+ * the cutoff's amplitude-update units: two per word, so with the
+ * default cutoff a block under 8,192 words encodes and decodes
+ * inline. Below that, handing segments to the pool costs more than
+ * the codec work (BM_GfcRoundTrip, DESIGN.md section 9).
+ */
+double
+segmentCost(std::uint64_t per)
+{
+    return 2.0 * static_cast<double>(per);
+}
+
+/**
  * Split [0, m) into at most @p threads ranges on even element
  * boundaries (two elements share a nibble byte, so an even split
  * keeps every output byte owned by exactly one range).
@@ -245,13 +258,56 @@ nibbleAt(const std::uint8_t *nib_area, std::uint64_t i)
 }
 
 /**
+ * Payload bytes of an element with nibble @p nib. A nibble claiming
+ * more zero bytes than the word has (only a malformed fp32 stream
+ * can) counts as zero bytes, so the length check and the reads agree.
+ */
+template <typename W>
+int
+payloadBytesOf(std::uint8_t nib)
+{
+    return std::max(0, static_cast<int>(sizeof(W)) - (nib & 0x7));
+}
+
+/** Payload bytes elements [lo, hi) occupy, from their nibbles alone. */
+template <typename W>
+std::uint64_t
+nibblePayloadBytes(const std::uint8_t *nib_area, std::uint64_t lo,
+                   std::uint64_t hi)
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t i = lo; i < hi; ++i)
+        total += static_cast<std::uint64_t>(
+            payloadBytesOf<W>(nibbleAt(nib_area, i)));
+    return total;
+}
+
+/**
+ * Signed residual addend (mod 2^width) of an element with nibble
+ * @p nib, read from @p payload, which advances past its bytes.
+ */
+template <typename W>
+W
+readAddend(std::uint8_t nib, const std::uint8_t *&payload)
+{
+    const int bytes = payloadBytesOf<W>(nib);
+    W mag = 0;
+    for (int b = 0; b < bytes; ++b)
+        mag |= static_cast<W>(*payload++) << (8 * b);
+    return (nib & 0x8) ? static_cast<W>(~mag + 1) : mag;
+}
+
+/**
  * Decode one segment of @p m words from @p src (sized @p seg_bytes,
- * validated against the nibble-derived layout) into @p out.
+ * validated against the nibble-derived layout before any payload
+ * byte is read) into @p out.
  *
- * The parallel path reconstructs each lane's running value with a
- * prefix combine: residual addends are mod-2^width integers, so
- * partial per-range, per-lane sums compose exactly, and every range
- * can decode independently from its combined lane start state.
+ * A one-range segment decodes in one pass: each value is the value
+ * warp words back plus its addend. The multi-range path reconstructs
+ * each lane's running value with a prefix combine: residual addends
+ * are mod-2^width integers, so partial per-range, per-lane sums
+ * compose exactly, and every range can decode independently from its
+ * combined lane start state.
  */
 template <typename Fp>
 void
@@ -259,38 +315,46 @@ decodeSegment(const std::uint8_t *src, std::uint64_t seg_bytes,
               std::uint64_t m, int warp, int threads, Fp *out)
 {
     using W = Word<Fp>;
-    constexpr int word_bytes = static_cast<int>(sizeof(W));
     const std::uint64_t nib_len = (m + 1) / 2;
     if (seg_bytes < nib_len)
         QGPU_PANIC("GFC segment of ", m, " words shorter (",
                    seg_bytes, " bytes) than its nibble area");
     const std::uint8_t *payload_area = src + nib_len;
     const std::uint64_t payload_len = seg_bytes - nib_len;
+    const auto check_payload_len = [payload_len](std::uint64_t implied) {
+        if (implied != payload_len)
+            QGPU_PANIC("GFC segment nibbles imply ", implied,
+                       " payload bytes, header says ", payload_len);
+    };
 
     const auto ranges = evenRanges(m, threads);
     const std::size_t num_ranges = ranges.size();
     const std::uint64_t uwarp = static_cast<std::uint64_t>(warp);
+
+    if (num_ranges == 1) {
+        check_payload_len(nibblePayloadBytes<W>(src, 0, m));
+        const std::uint8_t *payload = payload_area;
+        for (std::uint64_t i = 0; i < m; ++i) {
+            const W prev = i >= uwarp ? toBits(out[i - uwarp]) : W{0};
+            out[i] = fromBits<Fp>(static_cast<W>(
+                prev + readAddend<W>(nibbleAt(src, i), payload)));
+        }
+        return;
+    }
 
     // Payload offset of each range, from the nibble area alone.
     std::vector<std::uint64_t> offset(num_ranges + 1, 0);
     parallelFor(
         0, num_ranges, threads,
         [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t r = lo; r < hi; ++r) {
-                std::uint64_t total = 0;
-                for (std::uint64_t i = ranges[r].first;
-                     i < ranges[r].second; ++i)
-                    total += static_cast<std::uint64_t>(
-                        word_bytes - (nibbleAt(src, i) & 0x7));
-                offset[r + 1] = total;
-            }
+            for (std::uint64_t r = lo; r < hi; ++r)
+                offset[r + 1] = nibblePayloadBytes<W>(
+                    src, ranges[r].first, ranges[r].second);
         },
         1);
     for (std::size_t r = 1; r <= num_ranges; ++r)
         offset[r] += offset[r - 1];
-    if (offset[num_ranges] != payload_len)
-        QGPU_PANIC("GFC segment nibbles imply ", offset[num_ranges],
-                   " payload bytes, header says ", payload_len);
+    check_payload_len(offset[num_ranges]);
 
     // Pass 2: decode each range's signed residual addends (stashed
     // in out as raw bit patterns) and its per-lane addend sums.
@@ -306,14 +370,8 @@ decodeSegment(const std::uint8_t *src, std::uint64_t seg_bytes,
                            r * static_cast<std::uint64_t>(warp);
                 for (std::uint64_t i = ranges[r].first;
                      i < ranges[r].second; ++i) {
-                    const std::uint8_t nib = nibbleAt(src, i);
-                    const int bytes = word_bytes - (nib & 0x7);
-                    W mag = 0;
-                    for (int b = 0; b < bytes; ++b)
-                        mag |= static_cast<W>(*payload++) << (8 * b);
-                    const W addend = (nib & 0x8)
-                                         ? static_cast<W>(~mag + 1)
-                                         : mag; // mod 2^width
+                    const W addend =
+                        readAddend<W>(nibbleAt(src, i), payload);
                     lanes[i % uwarp] += addend;
                     out[i] = fromBits<Fp>(addend);
                 }
@@ -390,8 +448,8 @@ compressIntoImpl(const Fp *data, std::uint64_t count, int warp,
     const int threads = simThreads();
 
     // Pass 1: exact size of every segment, so the stream is written
-    // in place (parallel across segments; a lone segment
-    // parallelizes internally instead).
+    // in place (parallel across segments once the block clears the
+    // cutoff; a lone segment parallelizes internally instead).
     std::vector<std::uint64_t> seg_bytes(num_segs, 0);
     const auto seg_span = [&](int s) {
         const std::uint64_t lo = static_cast<std::uint64_t>(s) * per;
@@ -426,7 +484,7 @@ compressIntoImpl(const Fp *data, std::uint64_t count, int warp,
                 seg_bytes[s] = (m + 1) / 2 + payload;
             }
         },
-        1);
+        1, segmentCost(per));
 
     const std::uint64_t header = headerBytesFor(count, segments);
     std::uint64_t total = header;
@@ -454,7 +512,7 @@ compressIntoImpl(const Fp *data, std::uint64_t count, int warp,
                               out.data() + seg_start[s]);
             }
         },
-        1);
+        1, segmentCost(per));
 }
 
 template <typename Fp>
@@ -519,7 +577,7 @@ decompressImpl(const CompressedBlock &block, Fp *out, int warp,
                               b - a, warp, inner, out + a);
             }
         },
-        1);
+        1, segmentCost(per));
 }
 
 template <typename Fp>
@@ -561,7 +619,7 @@ compressedSizeImpl(const Fp *data, std::uint64_t count, int warp,
                 }
             }
         },
-        1);
+        1, segmentCost(per));
 
     std::uint64_t total = 8 + 4 + 4ull * num_segs;
     for (int s = 0; s < num_segs; ++s) {

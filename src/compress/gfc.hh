@@ -11,14 +11,20 @@
  * magnitude bytes. Residuals are computed on the raw 64-bit patterns,
  * so the codec is lossless for every input including NaN payloads.
  *
- * Host parallelism: when simThreads() > 1 every entry point fans work
- * across the shared thread pool with output (and reconstruction)
- * bit-identical to the serial path. Multi-segment blocks parallelize
- * over segments; a single segment parallelizes internally — encoding
- * residuals are pure functions of (element, element - warpSize), and
- * decoding splits because residual addition is associative mod 2^64,
- * so per-range per-lane partial sums compose exactly. compressBatch /
- * decompressBatch additionally fan independent blocks out together.
+ * Host parallelism: when simThreads() > 1 every entry point can fan
+ * work across the shared thread pool, with output (and
+ * reconstruction) bit-identical to the serial path. Multi-segment
+ * blocks parallelize over segments, but only above the pool's
+ * small-work cutoff (parallelCutoff(); at its default, blocks under
+ * 8,192 words run inline, where dispatch would cost more than the
+ * codec work). A single segment parallelizes internally once it spans
+ * two codec grains — encoding residuals are pure functions of
+ * (element, element - warpSize), and decoding splits because residual
+ * addition is associative mod 2^64, so per-range per-lane partial
+ * sums compose exactly. A segment decoded as one range takes one
+ * pass: each value is the value warpSize words back plus its residual.
+ * compressBatch / decompressBatch additionally fan independent blocks
+ * out together.
  */
 
 #ifndef QGPU_COMPRESS_GFC_HH

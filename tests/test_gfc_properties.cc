@@ -3,17 +3,20 @@
  * GFC codec property/fuzz tests: deterministic randomized roundtrips
  * over amplitude-like payloads (dense random, sparse, denormal, ±0,
  * ±Inf, NaN) across lane/segment configurations, the documented size
- * bound for all-zero input, and byte-identity of the serial and
- * thread-pool compression paths.
+ * bound for all-zero input, byte-identity of the serial and
+ * thread-pool compression paths, and the decoder's panics on
+ * malformed streams.
  */
 
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
 #include "common/bits.hh"
+#include "common/cacheinfo.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "compress/gfc.hh"
@@ -39,6 +42,77 @@ expectRoundTrip(const GfcCodec &codec,
         ASSERT_EQ(std::bit_cast<std::uint64_t>(data[i]),
                   std::bit_cast<std::uint64_t>(out[i]))
             << "index " << i << " of " << data.size();
+    }
+}
+
+/**
+ * Block sizes for the thread-count identity tests: 4,099 words runs
+ * inline at 4 threads, while 4 codec grains + 3 fans out in both
+ * layouts (over the 32 segments, and over the ranges of a lone
+ * segment).
+ */
+std::vector<std::size_t>
+identitySizes()
+{
+    return {4099,
+            4 * static_cast<std::size_t>(codecGrainWords()) + 3};
+}
+
+/**
+ * Compress @p data at 1 and 4 threads with one and with 32 segments,
+ * at several warp sizes: the two streams must be byte-equal, and each
+ * must decode bit-exactly at the other thread count. The engine
+ * records sender-side checksums over compressed bytes
+ * (fault/integrity.hh), so a stream that merely decodes to the same
+ * values is not enough.
+ */
+template <typename Fp>
+void
+expectThreadCountInvariant(const std::vector<Fp> &data)
+{
+    using Bits = std::conditional_t<sizeof(Fp) == 8, std::uint64_t,
+                                    std::uint32_t>;
+    constexpr bool f32 = std::is_same_v<Fp, float>;
+    for (const int segs : {1, 32}) {
+        for (const int warp : {1, 3, 32}) {
+            const GfcCodec codec(warp, segs);
+            const auto compress = [&] {
+                if constexpr (f32)
+                    return codec.compressF32(data.data(), data.size());
+                else
+                    return codec.compress(data.data(), data.size());
+            };
+            const auto decompress = [&](const CompressedBlock &block) {
+                std::vector<Fp> out(data.size(), Fp(-7));
+                if constexpr (f32)
+                    codec.decompressF32(block, out.data());
+                else
+                    codec.decompress(block, out.data());
+                return out;
+            };
+            setSimThreads(1);
+            const CompressedBlock serial = compress();
+            setSimThreads(4);
+            const CompressedBlock parallel = compress();
+            EXPECT_EQ(serial.bytes, parallel.bytes)
+                << data.size() << " words, warp " << warp << ", segments "
+                << segs;
+            const std::vector<Fp> serial_at_4 = decompress(serial);
+            setSimThreads(1);
+            const std::vector<Fp> parallel_at_1 = decompress(parallel);
+            for (std::size_t i = 0; i < data.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<Bits>(data[i]),
+                          std::bit_cast<Bits>(serial_at_4[i]))
+                    << data.size() << " words, warp " << warp
+                    << ", segments " << segs
+                    << ", serial stream at 4 threads, index " << i;
+                ASSERT_EQ(std::bit_cast<Bits>(data[i]),
+                          std::bit_cast<Bits>(parallel_at_1[i]))
+                    << data.size() << " words, warp " << warp
+                    << ", segments " << segs
+                    << ", parallel stream at 1 thread, index " << i;
+            }
+        }
     }
 }
 
@@ -180,34 +254,12 @@ TEST(GfcProperties, InfAndNanPayloadsRoundTripBitExactly)
 
 TEST(GfcProperties, SerialAndParallelStreamsAreByteIdentical)
 {
-    // The engine records sender-side checksums over compressed bytes
-    // (fault/integrity.hh), so the parallel compression path must
-    // produce the exact stream of the serial one, not merely a stream
-    // that decodes to the same values.
     Rng rng(31337);
-    std::vector<double> data(4099);
-    for (auto &v : data)
-        v = randomAmplitudeValue(rng);
-
-    for (const int segs : {1, 32}) {
-        const GfcCodec codec(32, segs);
-        setSimThreads(1);
-        const CompressedBlock serial =
-            codec.compress(data.data(), data.size());
-        setSimThreads(4);
-        const CompressedBlock parallel =
-            codec.compress(data.data(), data.size());
-        EXPECT_EQ(serial.bytes, parallel.bytes)
-            << "segments " << segs;
-
-        // Parallel decode of the serial stream is bit-exact too.
-        std::vector<double> out(data.size(), -7.0);
-        codec.decompress(serial, out.data());
-        setSimThreads(1);
-        for (std::size_t i = 0; i < data.size(); ++i)
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(data[i]),
-                      std::bit_cast<std::uint64_t>(out[i]))
-                << "segments " << segs << ", index " << i;
+    for (const std::size_t count : identitySizes()) {
+        std::vector<double> data(count);
+        for (auto &v : data)
+            v = randomAmplitudeValue(rng);
+        expectThreadCountInvariant(data);
     }
 }
 
@@ -222,6 +274,75 @@ TEST(GfcProperties, PayloadSizePlusHeaderIsTotal)
                   codec.compressedPayloadSize(data.data(),
                                               data.size()),
               codec.compressedSize(data.data(), data.size()));
+}
+
+/**
+ * Add @p delta to segment @p s's length field. A stream starts with a
+ * u64 word count, a u32 segment count and one u32 length per
+ * segment, all little-endian.
+ */
+void
+shiftSegmentLength(CompressedBlock &block, int s, int delta)
+{
+    std::uint8_t *field =
+        block.bytes.data() + 12 + 4 * static_cast<std::size_t>(s);
+    std::uint32_t len = 0;
+    for (int b = 0; b < 4; ++b)
+        len |= static_cast<std::uint32_t>(field[b]) << (8 * b);
+    len += static_cast<std::uint32_t>(delta);
+    for (int b = 0; b < 4; ++b)
+        field[b] = static_cast<std::uint8_t>(len >> (8 * b));
+}
+
+TEST(GfcProperties, SegmentLengthDisagreeingWithNibblesDies)
+{
+    // The pool has live workers, which a forked child would lack.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The last of 32 short segments decodes as one range, as the
+    // compressed store's chunks do; a lone segment of 4 grains + 3
+    // words decodes in 4 ranges at 4 threads. Both must check the
+    // length field against the nibbles before reading the payload.
+    struct Case
+    {
+        int segments;
+        std::size_t count;
+    };
+    const Case cases[] = {
+        {32, 256},
+        {1, 4 * static_cast<std::size_t>(codecGrainWords()) + 3}};
+    Rng rng(909);
+    for (const Case &c : cases) {
+        std::vector<double> data(c.count);
+        for (auto &v : data)
+            v = randomAmplitudeValue(rng);
+        const GfcCodec codec(32, c.segments);
+        CompressedBlock block =
+            codec.compress(data.data(), data.size());
+        shiftSegmentLength(block, c.segments - 1, -1);
+        std::vector<double> out(c.count);
+        setSimThreads(4);
+        EXPECT_DEATH(codec.decompress(block, out.data()),
+                     "GFC segment nibbles imply")
+            << "segments " << c.segments;
+        setSimThreads(1);
+    }
+}
+
+TEST(GfcProperties, TruncatedStreamDies)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Rng rng(910);
+    std::vector<double> data(256);
+    for (auto &v : data)
+        v = randomAmplitudeValue(rng);
+    const GfcCodec codec(32, 32);
+    CompressedBlock block = codec.compress(data.data(), data.size());
+    block.bytes.pop_back(); // cut inside the last segment's payload
+    std::vector<double> out(data.size());
+    setSimThreads(4);
+    EXPECT_DEATH(codec.decompress(block, out.data()),
+                 "GFC stream truncated");
+    setSimThreads(1);
 }
 
 // ---------------------------------------------------------------------
@@ -316,28 +437,11 @@ TEST(GfcPropertiesF32, InfAndNanPayloadsRoundTripBitExactly)
 TEST(GfcPropertiesF32, SerialAndParallelStreamsAreByteIdentical)
 {
     Rng rng(31338);
-    std::vector<float> data(4099);
-    for (auto &v : data)
-        v = randomAmplitudeValueF32(rng);
-
-    for (const int segs : {1, 32}) {
-        const GfcCodec codec(32, segs);
-        setSimThreads(1);
-        const CompressedBlock serial =
-            codec.compressF32(data.data(), data.size());
-        setSimThreads(4);
-        const CompressedBlock parallel =
-            codec.compressF32(data.data(), data.size());
-        EXPECT_EQ(serial.bytes, parallel.bytes)
-            << "segments " << segs;
-
-        std::vector<float> out(data.size(), -7.0f);
-        codec.decompressF32(serial, out.data());
-        setSimThreads(1);
-        for (std::size_t i = 0; i < data.size(); ++i)
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(data[i]),
-                      std::bit_cast<std::uint32_t>(out[i]))
-                << "segments " << segs << ", index " << i;
+    for (const std::size_t count : identitySizes()) {
+        std::vector<float> data(count);
+        for (auto &v : data)
+            v = randomAmplitudeValueF32(rng);
+        expectThreadCountInvariant(data);
     }
 }
 
@@ -379,6 +483,29 @@ TEST(GfcPropertiesF32, AmpRoundTripEqualsQuantizedInput)
                   std::bit_cast<std::uint64_t>(out[i].imag()))
             << "amp " << i;
     }
+}
+
+TEST(GfcPropertiesF32, NibbleClaimingMoreZeroBytesThanItsWordDies)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // Two tiny denormals: each residual against zero fits one byte,
+    // so the stream is a 16-byte header, the nibble byte 0x33 (3 zero
+    // bytes each) and two payload bytes.
+    const std::vector<float> data = {std::bit_cast<float>(5u),
+                                     std::bit_cast<float>(7u)};
+    const GfcCodec codec(32, 1);
+    CompressedBlock block =
+        codec.compressF32(data.data(), data.size());
+    ASSERT_EQ(block.bytes.size(), 19u);
+    ASSERT_EQ(block.bytes[16], 0x33);
+    // Nibbles 6 and 0: taken as 4 - 6 and 4 - 0 bytes they still sum
+    // to the two the header gives, yet the element with 0 zero bytes
+    // reads four. An fp32 nibble past 3 counts as no bytes, so the
+    // check sees the four bytes the decoder would read.
+    block.bytes[16] = 0x06;
+    std::vector<float> out(data.size());
+    EXPECT_DEATH(codec.decompressF32(block, out.data()),
+                 "GFC segment nibbles imply 4 payload bytes");
 }
 
 TEST(GfcPropertiesF32, LaneFlagGuardsPanicOnMismatch)
