@@ -26,13 +26,13 @@ main()
          {"baseline", "naive", "overlap", "pruning", "qgpu"}) {
         Machine m = bench::machineFor(n);
         ExecOptions o = bench::benchOptions();
-        o.recordTimeline = true;
+        o.recordTrace = true;
         const RunResult r = harness::runOn(
             engine, m, circuits::makeBenchmark("gs", n), o);
         bench::maybeEmitPhaseCsv(r, "gs", n);
         std::printf("--- %s (total %.1f s) ---\n", r.engine.c_str(),
                     r.totalTime);
-        std::printf("%s\n", r.timeline.render(96).c_str());
+        std::printf("%s\n", renderTimeline(r.trace, 96).c_str());
     }
     std::printf("legend: k=kernel, x=transfer, c=compress, "
                 "d=decompress, u=host update\n");

@@ -303,8 +303,7 @@ main(int argc, char **argv)
                     (1 << 20));
 
     ExecOptions options;
-    options.recordTimeline = args.timeline;
-    options.recordTrace = !args.trace_path.empty();
+    options.recordTrace = args.timeline || !args.trace_path.empty();
     options.verifyChunks = args.verify_chunks;
     options.verifySampleChunks = args.verify_sample;
     options.faultSpec = args.fault_spec;
@@ -485,7 +484,7 @@ main(int argc, char **argv)
                         "set)\n");
     }
     if (args.timeline)
-        std::printf("\n%s", result.timeline.render(100).c_str());
+        std::printf("\n%s", renderTimeline(result.trace, 100).c_str());
     if (args.stats)
         std::printf("\nstats:\n%s", result.stats.toString().c_str());
     if (args.kernel_stats) {

@@ -37,10 +37,7 @@ main(int argc, char **argv)
 
     // 3. Run the full Q-GPU recipe (overlap + pruning + reordering +
     //    compression).
-    ExecOptions options;
-    options.recordTimeline = true;
-    const RunResult result =
-        harness::runOn("qgpu", machine, ghz, options);
+    const RunResult result = harness::runOn("qgpu", machine, ghz);
 
     std::printf("engine: %s\n", result.engine.c_str());
     std::printf("virtual execution time: %.3f s "

@@ -24,7 +24,10 @@
 # The default pass also rebuilds the kernel differential suite with
 # -DQGPU_NATIVE=ON (build-check-native) and reruns it there, so the
 # tolerance-0 specialized-vs-generic guarantee is checked under the
-# vectorized -march=native code generation too.
+# vectorized -march=native code generation too, together with the
+# engine work ledger (committed virtual times, counters and state
+# digests, so virtual time and final states must match across builds)
+# and the trace span checks.
 #   BUILD_DIR=...  override the build directory (default build-check,
 #                  kept separate from the default `build` so -Werror
 #                  does not pollute incremental developer builds)
@@ -123,15 +126,19 @@ echo "== QGPU_NATIVE kernel differential pass ($NATIVE_DIR) =="
 require_cache "$NATIVE_DIR" "QGPU_NATIVE=ON" "QGPU_SANITIZE="
 cmake -B "$NATIVE_DIR" -S . -DQGPU_NATIVE=ON
 cmake --build "$NATIVE_DIR" -j "$JOBS" --target test_kernel_dispatch \
-    test_sweep_executor test_shard_differential
+    test_sweep_executor test_shard_differential test_engine_ledger \
+    test_engine_spans
 # The sweep suite rides along: sweep execution chains kernels over a
 # cache-resident chunk, so its bit-identity-to-gate-by-gate contract
 # must also hold under the vectorized code generation. The shard
 # differential (single- vs multi-device, tolerance 0) rides along for
 # the same reason: its contract is bit-identity of the same kernels
-# under a different schedule.
+# under a different schedule. The engine ledger compares against the
+# fixture committed from the default build, so it asserts that this
+# build reproduces every virtual time, counter and final state; the
+# span checks ride along with it.
 ctest --test-dir "$NATIVE_DIR" --output-on-failure -j "$JOBS" \
-    -R 'KernelDispatch|Sweep|ShardDifferential'
+    -R 'KernelDispatch|Sweep|ShardDifferential|EngineLedger|EngineSpans|BaselineTimeline'
 
 if [ "$RUN_TSAN" -eq 1 ]; then
     TSAN_DIR="${TSAN_DIR:-build-tsan}"

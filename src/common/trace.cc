@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <sstream>
 
 namespace qgpu
@@ -218,6 +219,44 @@ Trace::toCsv() const
                << span.counters[c].second;
         os << '\n';
     }
+    return os.str();
+}
+
+std::string
+renderTimeline(const Trace &trace, int columns)
+{
+    VTime horizon = 0.0;
+    std::vector<std::string> names; // resources in first-seen order
+    std::map<std::string, std::string> rows;
+    std::size_t widest = 0;
+    for (const TraceSpan &span : trace.spans()) {
+        if (span.end <= span.start)
+            continue;
+        horizon = std::max(horizon, span.end);
+        if (rows.emplace(span.resource, std::string(columns, '.')).second) {
+            names.push_back(span.resource);
+            widest = std::max(widest, span.resource.size());
+        }
+    }
+    if (names.empty())
+        return "(empty timeline)\n";
+
+    for (const TraceSpan &span : trace.spans()) {
+        if (span.end <= span.start)
+            continue;
+        std::string &row = rows[span.resource];
+        const int from =
+            static_cast<int>(span.start / horizon * (columns - 1));
+        const int to = static_cast<int>(span.end / horizon * (columns - 1));
+        const char mark = span.label.empty() ? '#' : span.label[0];
+        for (int i = from; i <= to && i < columns; ++i)
+            row[i] = mark;
+    }
+    std::ostringstream os;
+    for (const std::string &name : names)
+        os << name << std::string(widest - name.size() + 2, ' ')
+           << rows[name] << "\n";
+    os << "total: " << horizon << " s\n";
     return os.str();
 }
 

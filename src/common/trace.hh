@@ -164,6 +164,14 @@ class ScopedSpan
     std::vector<std::pair<std::string, double>> counters_;
 };
 
+/**
+ * The Fig. 6 chart: one row per resource, @p columns wide, covering
+ * [0, latest span end], each span marked with its label's first
+ * letter. Zero-length markers (prune decisions) carry no work and are
+ * skipped.
+ */
+std::string renderTimeline(const Trace &trace, int columns = 100);
+
 /** Escape a string for embedding in a JSON document. */
 std::string jsonEscape(const std::string &s);
 

@@ -3,7 +3,10 @@
  * The QISKit-Aer-style baseline (paper §III-B): static chunk
  * allocation — the first chunks that fit stay resident on the GPU,
  * the rest live on the CPU — and reactive, synchronous chunk exchange
- * whenever a group mixes CPU and GPU chunks.
+ * whenever a group mixes CPU and GPU chunks. It walks an ExecutionPlan
+ * built without pruning, reordering or fusion, and charges the initial
+ * load, every per-gate host update, kernel and reactive copy, and the
+ * final drain through a Charger like the other engines.
  */
 
 #ifndef QGPU_ENGINE_BASELINE_HH

@@ -12,8 +12,6 @@
 #include "common/rng.hh"
 #include "fault/injector.hh"
 #include "fault/integrity.hh"
-#include "qc/fusion.hh"
-#include "statevec/apply.hh"
 #include "statevec/chunked.hh"
 #include "statevec/kernel_dispatch.hh"
 #include "statevec/measure.hh"
@@ -23,19 +21,6 @@ namespace qgpu
 
 namespace
 {
-
-// TRUE for chunks provably all-zero under the union mask: some set
-// bit of the chunk's global-index prefix is not a live qubit
-// (InvolvementMask::chunkIsLive over a plain bit mask).
-ZeroPredicate
-deadPredicate(bool prune, std::uint64_t live_bits, int chunk_bits)
-{
-    if (!prune)
-        return {};
-    return [live_bits, chunk_bits](Index c) {
-        return ((c << chunk_bits) & ~live_bits) != 0;
-    };
-}
 
 // Restores result-affecting options around the PerShot inner runs:
 // reordering/fusion already happened once at plan time (error gates
@@ -64,7 +49,7 @@ constexpr std::uint64_t kShotBlock = 1024;
 /** What every Shared-mode shot of one batch reads (never writes). */
 struct SharedShotContext
 {
-    const ShotPlan &plan;
+    const ExecutionPlan &plan;
     const noise::NoiseModel &model;
     const ExecOptions &options;
     FaultSpec faults;
@@ -93,11 +78,10 @@ void
 runSharedShot(const SharedShotContext &ctx, std::uint64_t seed,
               ShotSlot &slot)
 {
-    const ShotPlan &plan = ctx.plan;
-    const std::span<const Gate> gates(plan.ordered.gates());
+    const ExecutionPlan &plan = ctx.plan;
     const int n = plan.ordered.numQubits();
     Rng rng(seed);
-    const auto events = ctx.model.sample(gates, rng);
+    const auto events = ctx.model.sample(plan.ordered.gates(), rng);
     slot.stats.add(statkeys::noiseEvents,
                    static_cast<double>(events.size()));
     const KernelTier tier =
@@ -111,45 +95,8 @@ runSharedShot(const SharedShotContext &ctx, std::uint64_t seed,
             state.setPrecision(ctx.options.precision,
                                ctx.options.adaptiveThreshold);
 
-        std::size_t ev = 0;
-        for (const PlanSweep &ps : plan.sweeps) {
-            std::size_t at = ps.begin;
-            while (at < ps.end) {
-                // Replay up to the next error insertion (or the sweep
-                // end); a mid-sweep insertion splits the replay into
-                // sub-spans, all run with the sweep's signature and
-                // predicate.
-                std::size_t stop = ps.end;
-                if (ev < events.size() &&
-                    events[ev].gateIndex + 1 < ps.end)
-                    stop = events[ev].gateIndex + 1;
-                if (stop < ps.end)
-                    slot.stats.add(statkeys::shotsSweepSplits, 1.0);
-                applySweepChunked(
-                    state, gates.subspan(at, stop - at), ps.globalBits,
-                    deadPredicate(plan.prune, ps.liveBits,
-                                  plan.chunkBits),
-                    tier);
-                slot.stats.add(statkeys::shotsSweepReplays, 1.0);
-                // Errors attached at the sub-span's last gate.
-                // Boundary insertions see postBits (their arming, by
-                // construction, is only ever needed there); mid-sweep
-                // insertions touch already-live qubits.
-                const std::uint64_t live =
-                    stop == ps.end ? ps.postBits : ps.liveBits;
-                while (ev < events.size() &&
-                       events[ev].gateIndex == stop - 1) {
-                    applyGateChunked(
-                        state, events[ev].gate,
-                        deadPredicate(plan.prune, live,
-                                      plan.chunkBits),
-                        tier);
-                    ++ev;
-                }
-                at = stop;
-            }
-            state.refreshPrecision();
-        }
+        for (std::size_t s = 0; s < plan.sweeps.size(); ++s)
+            applyPlanSweep(state, plan, s, tier, events, &slot.stats);
 
         slot.outcome = sampleOutcome(state, rng);
         if (ctx.model.readoutArmed()) {
@@ -169,56 +116,6 @@ runSharedShot(const SharedShotContext &ctx, std::uint64_t seed,
 
 } // namespace
 
-ShotPlan
-buildShotPlan(const Circuit &circuit, const ExecOptions &options,
-              int chunk_bits, const noise::NoiseModel &model)
-{
-    ShotPlan plan;
-    plan.ordered = reorderCircuit(circuit, options.reorder);
-    if (options.fuseWidth > 0)
-        plan.ordered = fuseGates(plan.ordered, options.fuseWidth);
-    plan.chunkBits = chunk_bits;
-    plan.prune = options.prune;
-
-    const std::span<const Gate> gates(plan.ordered.gates());
-    plan.noiseBits.resize(gates.size());
-    for (std::size_t i = 0; i < gates.size(); ++i)
-        plan.noiseBits[i] = model.touchableBits(gates[i]);
-
-    const int n = plan.ordered.numQubits();
-    InvolvementMask umask(n, options.involvement);
-    std::size_t at = 0;
-    while (at < gates.size()) {
-        const Sweep sw =
-            nextSweep(gates, at, chunk_bits,
-                      plan.prune ? &umask : nullptr, plan.noiseBits);
-        PlanSweep ps;
-        ps.begin = sw.begin;
-        ps.end = sw.end;
-        ps.globalBits = sw.globalBits;
-        if (plan.prune) {
-            ps.liveBits = umask.bits();
-            for (std::size_t i = sw.begin; i < sw.end; ++i) {
-                umask.involve(gates[i]);
-                // Conservative union arming: every qubit any shot's
-                // sampled error at this site could touch
-                // non-diagonally goes live for the REST of the plan.
-                std::uint64_t noise = plan.noiseBits[i];
-                if ((noise & ~umask.bits()) != 0)
-                    ++plan.armedSites;
-                while (noise != 0) {
-                    umask.involve(std::countr_zero(noise));
-                    noise &= noise - 1;
-                }
-            }
-            ps.postBits = umask.bits();
-        }
-        plan.sweeps.push_back(std::move(ps));
-        at = sw.end;
-    }
-    return plan;
-}
-
 int
 shotsInFlight(std::uint64_t state_bytes, std::uint64_t ram_bytes,
               int threads)
@@ -228,12 +125,6 @@ shotsInFlight(std::uint64_t state_bytes, std::uint64_t ram_bytes,
         1, budget / std::max<std::uint64_t>(1, state_bytes));
     return static_cast<int>(
         std::min<std::uint64_t>(std::max(1, threads), fit));
-}
-
-BatchResult
-ExecutionEngine::runBatched(const Circuit &circuit)
-{
-    return runBatched(circuit, options_.shots);
 }
 
 BatchResult
@@ -262,9 +153,7 @@ ExecutionEngine::runBatched(const Circuit &circuit,
         // Apply the order-changing passes once so sampled errors
         // attach to the same executed sequence Shared mode sees —
         // the two modes are bit-identical per shot.
-        Circuit ordered = reorderCircuit(circuit, options_.reorder);
-        if (options_.fuseWidth > 0)
-            ordered = fuseGates(ordered, options_.fuseWidth);
+        const Circuit ordered = orderCircuit(circuit, options_);
         const std::span<const Gate> gates(ordered.gates());
 
         for (std::uint64_t s = 0; s < shots && br.ok(); ++s) {
@@ -299,8 +188,14 @@ ExecutionEngine::runBatched(const Circuit &circuit,
         }
     } else {
         const WallClock plan_wall;
-        const ShotPlan plan = buildShotPlan(
-            circuit, options_, baseChunkBits(n), model);
+        Circuit ordered = orderCircuit(circuit, options_);
+        std::vector<std::uint64_t> noise_bits;
+        for (const Gate &gate : ordered.gates())
+            noise_bits.push_back(model.touchableBits(gate));
+        const int chunk_bits = baseChunkBits(n);
+        const ExecutionPlan plan = buildPlan(
+            std::move(ordered), options_.prune, options_.involvement,
+            chunk_bits, chunk_bits, std::move(noise_bits));
         br.scheduleSeconds = plan_wall.seconds();
         br.stats.add(statkeys::shotsPlans, 1.0);
         br.stats.set(statkeys::shotsPlanSweeps,

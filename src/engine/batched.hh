@@ -1,10 +1,10 @@
 /**
  * @file
- * Shot-batched execution: classify / prune / reorder / sweep-schedule
- * ONCE, then execute N seeded shots over the cached schedule. This is
- * the stochastic workload class real simulators spend their cycles on
- * (noisy multi-shot jobs); batching lets every Q-GPU optimization
- * amortize across shots.
+ * Shot-batched execution: reorder, fuse and plan ONCE (one
+ * ExecutionPlan, sched/plan.hh), then replay the plan for N seeded
+ * shots. This is the stochastic workload class real simulators spend
+ * their cycles on (noisy multi-shot jobs); batching lets every Q-GPU
+ * optimization amortize across shots.
  *
  * ## Determinism contract
  *
@@ -46,8 +46,9 @@
  *            at each gate whose attached noise can arm a new qubit,
  *            so arming only changes the zero predicate at sweep
  *            boundaries and the predicate stays sweep-constant, as
- *            applySweepChunked requires. All shots replay one
- *            partition; shots where the error did not fire simply
+ *            applySweepChunked requires. Every shot replays the one
+ *            plan through applyPlanSweep with its sampled errors
+ *            inserted; shots where the error did not fire simply
  *            carry zero weight in the extra live chunks (exactness
  *            of pruning is preserved — it is merely less tight).
  *
@@ -72,7 +73,6 @@
 #include "engine/execution.hh"
 #include "fault/sim_error.hh"
 #include "noise/model.hh"
-#include "sched/sweep.hh"
 #include "statevec/state_vector.hh"
 
 namespace qgpu
@@ -111,51 +111,6 @@ struct BatchResult
 
     bool ok() const { return !error.has_value(); }
 };
-
-/**
- * One sweep of the shared plan: the gate range and signature (as in
- * sched/sweep.hh) plus the union-mask liveness before and after the
- * sweep. liveBits gates the zero predicate while the sweep's gates
- * replay; postBits (liveBits ∪ the sweep's gate involvement ∪ its
- * boundary noise arming) gates error gates inserted at the sweep
- * boundary and becomes the next sweep's liveBits. All-ones when
- * pruning is off.
- */
-struct PlanSweep
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::vector<int> globalBits;
-    std::uint64_t liveBits = ~std::uint64_t{0};
-    std::uint64_t postBits = ~std::uint64_t{0};
-};
-
-/**
- * The build-once artifact Shared mode replays per shot: the executed
- * gate order (reordering and fusion applied), a fixed chunk
- * geometry, the noise-aware sweep partition, and each gate's
- * armable-noise mask.
- */
-struct ShotPlan
-{
-    Circuit ordered{1};
-    int chunkBits = 0;
-    bool prune = false;
-    std::vector<PlanSweep> sweeps;
-    /** Per executed gate: NoiseModel::touchableBits. */
-    std::vector<std::uint64_t> noiseBits;
-    /** Gate sites whose noise closes a sweep (armed sites). */
-    std::uint64_t armedSites = 0;
-};
-
-/**
- * Build the shared plan for @p circuit under @p options and
- * @p model. Exposed for the scheduler tests; runBatched calls it
- * internally.
- */
-ShotPlan buildShotPlan(const Circuit &circuit,
-                       const ExecOptions &options, int chunk_bits,
-                       const noise::NoiseModel &model);
 
 /**
  * Shared-mode shots run at once for @p state_bytes states on a host

@@ -8,10 +8,87 @@
 #include "common/metrics.hh"
 #include "fault/injector.hh"
 #include "fault/integrity.hh"
-#include "statevec/chunked.hh"
+#include "qc/fusion.hh"
+#include "statevec/apply.hh"
 
 namespace qgpu
 {
+
+namespace
+{
+
+/** TRUE for chunks provably all-zero: some set bit of the chunk's
+ *  global-index prefix is not live. Empty without pruning. */
+ZeroPredicate
+deadChunks(bool prune, std::uint64_t live_bits, int chunk_bits)
+{
+    if (!prune)
+        return {};
+    return [live_bits, chunk_bits](Index c) {
+        return ((c << chunk_bits) & ~live_bits) != 0;
+    };
+}
+
+} // namespace
+
+Circuit
+orderCircuit(const Circuit &circuit, const ExecOptions &options,
+             StatSet *stats)
+{
+    Circuit ordered = reorderCircuit(circuit, options.reorder);
+    if (options.fuseWidth <= 0)
+        return ordered;
+    if (stats != nullptr)
+        stats->set("gates.original",
+                   static_cast<double>(ordered.numGates()));
+    ordered = fuseGates(ordered, options.fuseWidth);
+    if (stats != nullptr)
+        stats->set("gates.fused", static_cast<double>(ordered.numGates()));
+    return ordered;
+}
+
+void
+applyPlanSweep(ChunkedStateVector &state, const ExecutionPlan &plan,
+               std::size_t sweep, KernelTier tier,
+               std::span<const noise::NoiseEvent> events,
+               StatSet *shot_stats)
+{
+    const PlanSweep &sw = plan.sweeps[sweep];
+    const std::span<const Gate> gates(plan.ordered.gates());
+    const ZeroPredicate dead =
+        deadChunks(plan.prune, sw.liveBits, sw.chunkBits);
+    auto ev = std::lower_bound(
+        events.begin(), events.end(), sw.begin,
+        [](const noise::NoiseEvent &e, std::size_t g) {
+            return e.gateIndex < g;
+        });
+    for (std::size_t at = sw.begin; at < sw.end;) {
+        // Run up to the next error insertion (or the sweep end); every
+        // sub-span keeps the sweep's signature and predicate.
+        const std::size_t stop =
+            ev != events.end() && ev->gateIndex + 1 < sw.end
+                ? ev->gateIndex + 1
+                : sw.end;
+        if (shot_stats != nullptr && stop < sw.end)
+            shot_stats->add(statkeys::shotsSweepSplits, 1.0);
+        applySweepChunked(state, gates.subspan(at, stop - at),
+                          sw.globalBits, dead, tier);
+        if (shot_stats != nullptr)
+            shot_stats->add(statkeys::shotsSweepReplays, 1.0);
+        // Errors at the sweep's last gate may arm new qubits, so they
+        // see postBits; mid-sweep errors touch already-live qubits.
+        const ZeroPredicate after =
+            stop == sw.end
+                ? deadChunks(plan.prune, sw.postBits, sw.chunkBits)
+                : dead;
+        for (; ev != events.end() && ev->gateIndex == stop - 1; ++ev)
+            applyGateChunked(state, ev->gate, after, tier);
+        at = stop;
+    }
+    // fp32-lane chunks are rounded here, so every later reader (codec
+    // sample, integrity ledger, functional state) sees stored values.
+    state.refreshPrecision();
+}
 
 StorageConfig
 makeStorageConfig(const ExecOptions &options, FaultInjector *injector)
@@ -83,7 +160,7 @@ ExecutionEngine::run(const Circuit &circuit)
     const WallClock wall;
     RunResult result;
     result.engine = name();
-    if (options_.recordTrace || options_.recordTimeline)
+    if (options_.recordTrace)
         result.trace.enable();
 
     std::optional<StateVector> state;
@@ -98,11 +175,6 @@ ExecutionEngine::run(const Circuit &circuit)
         result.stats.add(intkeys::simErrors, 1.0);
     }
     result.wallSeconds = wall.seconds();
-
-    if (options_.recordTimeline) {
-        result.timeline.enable();
-        result.timeline.addTrace(result.trace);
-    }
 
     // Collect resource busy times common to every engine.
     auto &stats = result.stats;

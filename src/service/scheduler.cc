@@ -326,10 +326,10 @@ JobService::execute(const JobPtr &job)
         options.keepState = false;
         options.noiseSpec = request.noiseSpec;
         options.shotSeed = request.shotSeed;
-        options.shots = request.shots;
         const auto engine = harness::makeEngine(
             request.engine, machine, options);
-        BatchResult batch = engine->runBatched(job->circuit);
+        BatchResult batch =
+            engine->runBatched(job->circuit, request.shots);
         std::shared_ptr<const CachedSim> sim;
         if (batch.ok()) {
             auto owned = std::make_shared<CachedSim>();

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/trace.hh"
 #include "sim/machine.hh"
-#include "sim/timeline.hh"
 
 namespace qgpu
 {
@@ -124,23 +124,20 @@ TEST(HostModel, MemoryRoof)
     EXPECT_NEAR(host.updateTime(1.0, 1e9), 1.0, 1e-12);
 }
 
-TEST(Timeline, DisabledRecordsNothing)
-{
-    Timeline t;
-    t.record("r", "x", 0.0, 1.0);
-    EXPECT_TRUE(t.spans().empty());
-}
-
 TEST(Timeline, RenderShowsResources)
 {
-    Timeline t;
+    Trace t;
     t.enable();
-    t.record("gpu.compute", "kernel", 0.0, 1.0);
-    t.record("gpu.h2d", "xfer", 0.5, 2.0);
-    const std::string out = t.render(40);
+    t.record("compute", "kernel", "gpu.compute", 0.0, 1.0);
+    t.record("h2d", "xfer", "gpu.h2d", 0.5, 2.0);
+    t.record("prune", "decide", "host.prune", 1.0, 1.0);
+    const std::string out = renderTimeline(t, 40);
     EXPECT_NE(out.find("gpu.compute"), std::string::npos);
     EXPECT_NE(out.find("gpu.h2d"), std::string::npos);
     EXPECT_NE(out.find("k"), std::string::npos);
+    // Zero-length markers carry no work and get no row.
+    EXPECT_EQ(out.find("host.prune"), std::string::npos);
+    EXPECT_NE(out.find("total: 2 s"), std::string::npos);
 }
 
 } // namespace

@@ -219,12 +219,12 @@ TEST(EngineTiming, TimelineRecordsSpans)
 {
     Machine m = harness::benchMachine(10);
     ExecOptions o;
-    o.recordTimeline = true;
+    o.recordTrace = true;
     o.keepState = false;
     const RunResult r = harness::runOn(
         "qgpu", m, circuits::makeBenchmark("gs", 10), o);
-    EXPECT_FALSE(r.timeline.spans().empty());
-    EXPECT_NE(r.timeline.render(60).find("p100:0.h2d"),
+    EXPECT_FALSE(r.trace.empty());
+    EXPECT_NE(renderTimeline(r.trace, 60).find("p100:0.h2d"),
               std::string::npos);
 }
 

@@ -2,10 +2,14 @@
  * @file
  * Involvement-mask tests, including the load-bearing exactness
  * property: during simulation of any benchmark, every amplitude whose
- * index sets an uninvolved qubit's bit is exactly zero.
+ * index sets an uninvolved qubit's bit is exactly zero. Algorithm 1's
+ * chunk liveness (chunkIsLive) is checked against brute force over
+ * every mask and chunk size of a 6-qubit state.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "circuits/circuits.hh"
 #include "common/bits.hh"
@@ -85,6 +89,77 @@ TEST(Involvement, DynamicChunkBitsFollowsTrailingOnes)
     EXPECT_EQ(mask.dynamicChunkBits(5, 8), 5); // clamped up
     EXPECT_EQ(mask.dynamicChunkBits(0, 3), 3); // clamped down
 }
+
+/** Algorithm 1's chunk enumeration: the chunks chunkIsLive keeps. */
+std::vector<Index>
+liveChunks(const InvolvementMask &mask, int chunk_bits)
+{
+    std::vector<Index> live;
+    const Index chunks = Index{1} << (mask.numQubits() - chunk_bits);
+    for (Index c = 0; c < chunks; ++c)
+        if (mask.chunkIsLive(c, chunk_bits))
+            live.push_back(c);
+    return live;
+}
+
+TEST(PruneSweep, AllLiveWhenFullyInvolved)
+{
+    InvolvementMask mask(6);
+    for (int q = 0; q < 6; ++q)
+        mask.involve(q);
+    EXPECT_EQ(liveChunks(mask, 2).size(), 16u);
+}
+
+TEST(PruneSweep, OnlyChunkZeroAtStart)
+{
+    InvolvementMask mask(6);
+    EXPECT_EQ(liveChunks(mask, 2), (std::vector<Index>{0}));
+}
+
+TEST(PruneSweep, PaperExample)
+{
+    // 7 qubits, 4-bit chunks, qubits 0..4 involved: chunks with
+    // bit 5 or 6 set are dead.
+    InvolvementMask mask(7);
+    for (int q = 0; q <= 4; ++q)
+        mask.involve(q);
+    EXPECT_EQ(liveChunks(mask, 4), (std::vector<Index>{0, 1}));
+}
+
+class SweepMatchesBruteForce
+    : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(SweepMatchesBruteForce, EveryMaskEveryChunkSize)
+{
+    // Exhaustive over all 2^6 involvement masks for a 6-qubit state: a
+    // chunk is live iff one of its amplitude indices sets only
+    // involved bits (the invariant ExactnessProperty checks).
+    const std::uint64_t mask_bits = GetParam();
+    InvolvementMask mask(6);
+    for (int q = 0; q < 6; ++q)
+        if ((mask_bits >> q) & 1)
+            mask.involve(q);
+
+    for (int chunk_bits = 0; chunk_bits <= 6; ++chunk_bits) {
+        std::vector<Index> want;
+        const Index chunks = Index{1} << (6 - chunk_bits);
+        for (Index c = 0; c < chunks; ++c) {
+            bool any = false;
+            for (Index i = c << chunk_bits; i < (c + 1) << chunk_bits;
+                 ++i)
+                any = any || (i & ~mask_bits) == 0;
+            if (any)
+                want.push_back(c);
+        }
+        EXPECT_EQ(liveChunks(mask, chunk_bits), want)
+            << "mask " << mask_bits << " chunkBits " << chunk_bits;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMasks, SweepMatchesBruteForce,
+                         ::testing::Range<std::uint64_t>(0, 64));
 
 class ExactnessProperty
     : public ::testing::TestWithParam<
