@@ -510,17 +510,15 @@ main(int argc, char **argv)
         // gates, so gates/sweep is the batching factor.
         const auto &mr = MetricsRegistry::global();
         const double sweeps = mr.counter("sweep.count");
-        const double passes = mr.counter("sweep.state_passes");
         const Histogram per = mr.histogram("sweep.gates_per_sweep");
         std::printf("\nsweep executor counters:\n");
         if (sweeps == 0.0) {
             std::printf("  (none -- engine bypassed the sweep "
                         "executor)\n");
         } else {
-            std::printf("  sweeps executed:     %.0f\n", sweeps);
-            std::printf("  state passes:        %.0f (vs %zu gates "
-                        "gate-by-gate)\n",
-                        passes, circuit.numGates());
+            std::printf("  sweeps executed:     %.0f state passes "
+                        "(vs %zu gates gate-by-gate)\n",
+                        sweeps, circuit.numGates());
             std::printf("  gates per sweep:     %.2f mean, %.0f "
                         "max\n",
                         per.mean(), per.max());

@@ -21,8 +21,9 @@
 #                  QGPU_FAST_MATH=1 so the 1e-12 accuracy contract is
 #                  exercised end to end
 #
-# The default pass also rebuilds the kernel differential suite with
-# -DQGPU_NATIVE=ON (build-check-native) and reruns it there, so the
+# The default pass reruns the engine ledger and span checks at
+# QGPU_SIM_THREADS=4, and rebuilds the kernel differential suite
+# with -DQGPU_NATIVE=ON (build-check-native) and reruns it there, so the
 # tolerance-0 specialized-vs-generic guarantee is checked under the
 # vectorized -march=native code generation too, together with the
 # engine work ledger (committed virtual times, counters and state
@@ -77,6 +78,12 @@ require_cache "$BUILD_DIR" "QGPU_SANITIZE=" "QGPU_NATIVE=OFF"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$JOBS"
+# The engine ledger and span checks again at 4 host threads: the
+# committed virtual times, counters and final-state digests must not
+# depend on the worker count.
+echo "== engine ledger at QGPU_SIM_THREADS=4 ($BUILD_DIR) =="
+QGPU_SIM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure \
+    -j "$JOBS" -R 'EngineLedger|EngineSpans'
 
 if [ "$RUN_FAST_MATH" -eq 1 ]; then
     # A dedicated build: the contracted-FMA kernel TU only exists when

@@ -30,10 +30,8 @@
  *
  * Sweep-executor counters (statevec/apply.hh, applySweepChunked; the
  * memory-traffic model is passes-over-the-state = sweeps, not gates):
- *   sweep.count             counter, one per executed sweep
- *   sweep.state_passes      counter, full passes over the chunked
- *                           state (equals sweep.count; named for what
- *                           it measures)
+ *   sweep.count             counter, one per executed sweep: the
+ *                           full passes over the chunked state
  *   sweep.gates_per_sweep   histogram of gates batched per sweep
  *
  * Chunk-integrity counters (fault/integrity.hh; accumulated per run
@@ -95,8 +93,7 @@
  *                               outcome, including instant cache hits
  *                               and coalesced followers)
  *   service.rejected            submissions refused at admission
- *                               (invalid request, fast-math tier
- *                               mismatch, or full queue)
+ *                               (invalid request or full queue)
  *   service.completed           jobs that reached Done
  *   service.failed              jobs that reached Failed (structured
  *                               SimError; never takes the process

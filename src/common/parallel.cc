@@ -56,10 +56,11 @@ initialParallelCutoff()
     return value;
 }
 
-double &
-parallelCutoffRef()
+/** The small-work cutoff, read once from QGPU_PAR_CUTOFF. */
+double
+parallelCutoff()
 {
-    static double cutoff = initialParallelCutoff();
+    static const double cutoff = initialParallelCutoff();
     return cutoff;
 }
 
@@ -83,7 +84,7 @@ parallelFor(std::uint64_t begin, std::uint64_t end, int threads,
     // fan-out latency dominates ranges whose total estimated work is
     // under the cutoff, so run those inline.
     if (cost_hint > 0.0) {
-        const double cutoff = parallelCutoffRef();
+        const double cutoff = parallelCutoff();
         if (cutoff > 0.0 &&
             static_cast<double>(count) * cost_hint < cutoff) {
             body(begin, end);
@@ -130,18 +131,6 @@ setSimThreads(int threads)
     if (threads < 0 || threads > ThreadPool::kMaxWorkers)
         QGPU_FATAL("bad thread count ", threads);
     simThreadsRef() = resolveThreads(threads);
-}
-
-double
-parallelCutoff()
-{
-    return parallelCutoffRef();
-}
-
-void
-setParallelCutoff(double cutoff)
-{
-    parallelCutoffRef() = cutoff;
 }
 
 } // namespace qgpu

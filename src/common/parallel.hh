@@ -21,9 +21,11 @@
  *    purely a performance decision);
  *  - callers that know their per-item cost pass @c cost_hint, and the
  *    range runs inline when (end - begin) * cost_hint falls under the
- *    tunable cutoff (setParallelCutoff / QGPU_PAR_CUTOFF, in
- *    amplitude-update units). A zero hint (the default) skips the
- *    cutoff, so sites with unknown item cost keep the old behavior.
+ *    small-work cutoff, in amplitude-update units: the
+ *    QGPU_PAR_CUTOFF environment variable, read once on first use,
+ *    default 16384, <= 0 disables it. A zero hint (the default) skips
+ *    the cutoff, so sites with unknown item cost keep the old
+ *    behavior.
  */
 
 #ifndef QGPU_COMMON_PARALLEL_HH
@@ -39,7 +41,7 @@ namespace qgpu
  * Run @p body over [begin, end) split into contiguous sub-ranges
  * executed concurrently on the shared thread pool. @p threads <= 1
  * (or a range smaller than @p min_grain, or estimated total work
- * @c (end - begin) * cost_hint under parallelCutoff() when
+ * @c (end - begin) * cost_hint under the small-work cutoff when
  * @p cost_hint > 0) runs inline on the calling thread. Requests above
  * the hardware thread count are clamped to it.
  *
@@ -70,16 +72,6 @@ int simThreads();
  * to the hardware thread count; values outside [0, 256] are fatal.
  */
 void setSimThreads(int threads);
-
-/**
- * Small-work cutoff in amplitude-update units: ranges whose
- * (end - begin) * cost_hint estimate falls below this run inline.
- * Initialized from QGPU_PAR_CUTOFF (first use), default 16384.
- */
-double parallelCutoff();
-
-/** Override the small-work cutoff; <= 0 disables the cutoff. */
-void setParallelCutoff(double cutoff);
 
 } // namespace qgpu
 

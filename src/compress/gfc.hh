@@ -15,7 +15,7 @@
  * work across the shared thread pool, with output (and
  * reconstruction) bit-identical to the serial path. Multi-segment
  * blocks parallelize over segments, but only above the pool's
- * small-work cutoff (parallelCutoff(); at its default, blocks under
+ * small-work cutoff (QGPU_PAR_CUTOFF; at its default, blocks under
  * 8,192 words run inline, where dispatch would cost more than the
  * codec work). A single segment parallelizes internally once it spans
  * two codec grains — encoding residuals are pure functions of

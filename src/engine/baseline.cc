@@ -217,8 +217,8 @@ BaselineEngine::execute(const Circuit &circuit, RunResult &result)
             }
 
             // Per-gate synchronization barrier.
-            gate_end += options().syncLatency;
-            stats.add(statkeys::sync, options().syncLatency);
+            gate_end += syncLatency;
+            stats.add(statkeys::sync, syncLatency);
             stats.add(statkeys::gatesApplied, 1.0);
             prev_end = gate_end;
         }

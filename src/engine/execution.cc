@@ -25,7 +25,7 @@ deadChunks(bool prune, std::uint64_t live_bits, int chunk_bits)
     if (!prune)
         return {};
     return [live_bits, chunk_bits](Index c) {
-        return ((c << chunk_bits) & ~live_bits) != 0;
+        return !isLiveChunk(c, chunk_bits, live_bits);
     };
 }
 

@@ -130,6 +130,9 @@ enum class BatchMode
     PerShot,
 };
 
+/** Per-gate host/device synchronization latency (seconds). */
+inline constexpr double syncLatency = 20e-6;
+
 /** Tunables shared by the engines. */
 struct ExecOptions
 {
@@ -168,9 +171,6 @@ struct ExecOptions
      * the rest reuse the sampled ratio. 0 measures every chunk.
      */
     int codecSampleChunks = 4;
-
-    /** Per-gate host/device synchronization latency (seconds). */
-    double syncLatency = 20e-6;
 
     /** Host threads for CPU-side work (0 = all cores). */
     int hostThreads = 0;

@@ -261,8 +261,7 @@ StreamingEngine::execute(const Circuit &circuit, RunResult &result)
                 sw.liveBits |
                 gateInvolvementBits(gate, options().involvement);
             const auto live_out = [&](Index c) {
-                const std::uint64_t shifted = c << sw.chunkBits;
-                return (shifted & out_bits) == shifted;
+                return isLiveChunk(c, sw.chunkBits, out_bits);
             };
             const std::vector<Index> live_groups =
                 liveGroups(gp, sw, prune, stats, trace, frontier);
@@ -429,12 +428,12 @@ StreamingEngine::execute(const Circuit &circuit, RunResult &result)
 
             if (!options().overlap) {
                 // Naive: a device synchronization closes every gate.
-                stats.add(statkeys::sync, options().syncLatency);
+                stats.add(statkeys::sync, syncLatency);
                 VTime barrier = 0.0;
                 for (int d = 0; d < num_devs; ++d)
                     barrier = std::max(
                         barrier, m.device(d).d2hEngine().freeAt());
-                barrier += options().syncLatency;
+                barrier += syncLatency;
                 for (auto &sf : slot_free)
                     for (auto &t : sf)
                         t = std::max(t, barrier);

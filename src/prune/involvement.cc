@@ -72,13 +72,6 @@ InvolvementMask::count() const
     return bits::popcount(mask_);
 }
 
-bool
-InvolvementMask::chunkIsLive(Index chunk, int chunk_bits) const
-{
-    const std::uint64_t shifted = chunk << chunk_bits;
-    return (shifted & mask_) == shifted;
-}
-
 int
 InvolvementMask::dynamicChunkBits(int min_bits, int max_bits) const
 {

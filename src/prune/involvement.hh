@@ -30,6 +30,18 @@ namespace qgpu
 enum class InvolvementPolicy { PerOp, NonDiagonal };
 
 /**
+ * Can chunk @p chunk (with @p chunk_bits offset bits) hold non-zero
+ * amplitudes while only the qubits in @p live_bits are involved? Every
+ * set bit of the shifted chunk index must be live (Algorithm 1 line
+ * 7). The one liveness rule every pruning path uses.
+ */
+inline bool
+isLiveChunk(Index chunk, int chunk_bits, std::uint64_t live_bits)
+{
+    return ((chunk << chunk_bits) & ~live_bits) == 0;
+}
+
+/**
  * The involvement bitmask of Algorithm 1.
  */
 class InvolvementMask
@@ -56,12 +68,11 @@ class InvolvementMask
 
     bool allInvolved() const { return count() == numQubits_; }
 
-    /**
-     * True iff chunk @p chunk (with @p chunk_bits offset bits) can
-     * hold non-zero amplitudes: every set bit of the shifted chunk
-     * index must be an involved qubit (Algorithm 1 line 7).
-     */
-    bool chunkIsLive(Index chunk, int chunk_bits) const;
+    /** isLiveChunk under this mask's involved qubits. */
+    bool chunkIsLive(Index chunk, int chunk_bits) const
+    {
+        return isLiveChunk(chunk, chunk_bits, mask_);
+    }
 
     /**
      * Dynamic chunk size of Algorithm 1: the run of involved qubits

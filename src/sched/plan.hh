@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "prune/involvement.hh"
 #include "sched/sweep.hh"
 
 namespace qgpu
@@ -37,7 +38,7 @@ struct PlanSweep : Sweep
     bool
     chunkLive(Index c) const
     {
-        return ((c << chunkBits) & ~liveBits) == 0;
+        return isLiveChunk(c, chunkBits, liveBits);
     }
 };
 

@@ -62,7 +62,6 @@ namespace
 struct ApplySlots
 {
     CounterSlot &sweepCount;
-    CounterSlot &statePasses;
     HistogramSlot &gatesPerSweep;
     HistogramSlot &wallTime;
 };
@@ -73,7 +72,6 @@ applySlots()
     static const ApplySlots slots = [] {
         auto &mr = MetricsRegistry::global();
         return ApplySlots{mr.counterSlot("sweep.count"),
-                          mr.counterSlot("sweep.state_passes"),
                           mr.histogramSlot("sweep.gates_per_sweep"),
                           mr.histogramSlot("apply.wall_time")};
     }();
@@ -327,97 +325,108 @@ buildSweepOps(std::span<const Gate> gates, const std::vector<int> &G,
 }
 
 /**
- * Chunks the engine's predicate cannot prove zero. Under bounded
- * storage these are exactly the chunks that must be materialized and
- * processed: kernels may write -0.0 into a value-zero chunk, so
- * skipping a chunk the raw path would touch could diverge by sign
- * bits.
+ * Load group @p g of @p plan into @p scratch: its member chunks and
+ * whether each may hold weight under @p zero (every one without a
+ * predicate). False when no member is live: the group is then a no-op
+ * and must not be touched, since kernels may write -0.0 into a
+ * value-zero chunk.
  */
-std::vector<Index>
-liveChunks(const ChunkedStateVector &state, const ZeroPredicate &zero)
+bool
+loadGroup(const GatePlan &plan, const ZeroPredicate &zero, Index g,
+          GroupScratch &scratch)
 {
-    std::vector<Index> live;
-    live.reserve(state.numChunks());
-    for (Index c = 0; c < state.numChunks(); ++c)
-        if (!(zero && zero(c)))
-            live.push_back(c);
-    return live;
-}
-
-/** Groups with at least one live member (all groups without a
- *  predicate), matching the skip decision of the unbounded path. */
-std::vector<Index>
-liveGroups(const GatePlan &plan, const ZeroPredicate &zero)
-{
-    std::vector<Index> out;
-    out.reserve(plan.numGroups());
-    std::vector<Index> members;
-    for (Index g = 0; g < plan.numGroups(); ++g) {
-        if (zero) {
-            plan.membersInto(g, members);
-            if (std::all_of(members.begin(), members.end(),
-                            [&zero](Index c) { return zero(c); }))
-                continue;
-        }
-        out.push_back(g);
+    plan.membersInto(g, scratch.members);
+    scratch.live.resize(scratch.members.size());
+    bool any = false;
+    for (std::size_t m = 0; m < scratch.members.size(); ++m) {
+        scratch.live[m] = !(zero && zero(scratch.members[m]));
+        any = any || scratch.live[m] != 0;
     }
-    return out;
+    return any;
 }
 
 /**
- * Pinned-block pipeline over @p items for bounded-storage states:
- * each block's chunks (expand() appends an item's chunks) are pinned
- * before processing, and the NEXT block's refills are issued
- * asynchronously on the pool while the current block computes — the
+ * Run @p body(group, scratch) over every group of @p plan with a live
+ * member, scratch loaded by loadGroup. Each worker reuses one scratch
+ * across its range of groups; the groups partition the chunk set, so
+ * the workers are race-free by construction. This is the executor's
+ * only storage-dependent code.
+ *
+ * Raw storage fans every group out in one parallelFor. Bounded
+ * storage walks the live groups in blocks of whole groups, dead
+ * members included (a Zero chunk zero-fills to exactly the bytes the
+ * raw path holds), sized to the residency's largest pinned block.
+ * Each block is pinned before it computes, and the next block's
+ * refills are issued asynchronously on the pool meanwhile: the
  * sweep-aware prefetch that overlaps decompression with kernel work.
- * Pinned chunks are never evicted, so parallel workers only ever see
- * stable resident slots. A block may transiently overshoot the
- * working-set budget when a single item spans more chunks than the
- * budget allows; correctness is unaffected (the overshoot drains as
- * soon as the block unpins).
+ * Pinned chunks are never evicted, so workers only ever see stable
+ * resident slots. A single group larger than the block transiently
+ * overshoots the working-set budget until it unpins.
  */
-template <typename Expand, typename Process>
+template <typename Body>
 void
-runPinnedBlocks(ChunkResidency &res, std::span<const Index> items,
-                Index items_per_block, Expand &&expand,
-                Process &&process)
+forEachLiveGroup(ChunkedStateVector &state, const GatePlan &plan,
+                 const ZeroPredicate &zero, double cost, Body &&body)
 {
-    if (items.empty())
-        return;
-    const auto block = static_cast<std::size_t>(items_per_block);
-    std::vector<Index> cur_chunks, next_chunks;
-    const auto collect = [&](std::size_t lo, std::size_t n,
-                             std::vector<Index> &out) {
-        out.clear();
-        for (std::size_t i = lo; i < lo + n; ++i)
-            expand(items[i], out);
+    if (plan.numGroups() * static_cast<Index>(plan.chunksPerGroup()) !=
+        state.numChunks())
+        QGPU_PANIC("plan does not partition the ", state.numChunks(),
+                   "-chunk state: ", plan.numGroups(), " groups x ",
+                   plan.chunksPerGroup(), " chunks");
+    const int threads = simThreads();
+    // The worker for the groups group_of(lo) .. group_of(hi - 1).
+    const auto worker = [&](auto group_of) {
+        return [&, group_of](std::uint64_t lo, std::uint64_t hi) {
+            GroupScratch scratch;
+            for (std::uint64_t i = lo; i < hi; ++i)
+                if (loadGroup(plan, zero, group_of(i), scratch))
+                    body(group_of(i), scratch);
+        };
     };
-    std::size_t at = 0;
-    std::size_t cur_n = std::min(block, items.size());
-    collect(0, cur_n, cur_chunks);
-    res.pin(cur_chunks);
-    while (at < items.size()) {
-        const std::size_t next_n =
-            std::min(block, items.size() - at - cur_n);
-        if (next_n > 0) {
-            collect(at + cur_n, next_n, next_chunks);
-            res.pinAsync(next_chunks);
-        }
-        process(items.subspan(at, cur_n));
-        res.unpin(cur_chunks);
-        if (next_n > 0)
-            res.waitPins();
-        at += cur_n;
-        cur_n = next_n;
-        std::swap(cur_chunks, next_chunks);
+    if (!state.boundedStorage()) {
+        parallelFor(0, plan.numGroups(), threads,
+                    worker(std::identity{}), 1, cost);
+        return;
     }
-}
 
-/** expand() for items that are chunk indices themselves. */
-void
-expandChunk(Index c, std::vector<Index> &out)
-{
-    out.push_back(c);
+    ChunkResidency &res = *state.residency();
+    GroupScratch probe;
+    std::vector<Index> live;
+    for (Index g = 0; g < plan.numGroups(); ++g)
+        if (loadGroup(plan, zero, g, probe))
+            live.push_back(g);
+    const auto per_block = static_cast<std::size_t>(std::max<Index>(
+        1, res.maxPinnedBlock() / plan.chunksPerGroup()));
+    // The member chunks of the block of live groups starting at `at`.
+    const auto block_chunks = [&](std::size_t at,
+                                  std::vector<Index> &out) {
+        out.clear();
+        for (std::size_t i = at;
+             i < std::min(at + per_block, live.size()); ++i) {
+            plan.membersInto(live[i], probe.members);
+            out.insert(out.end(), probe.members.begin(),
+                       probe.members.end());
+        }
+    };
+    std::vector<Index> cur, next;
+    if (!live.empty()) {
+        block_chunks(0, cur);
+        res.pin(cur);
+    }
+    for (std::size_t at = 0; at < live.size(); at += per_block) {
+        const std::size_t end = std::min(at + per_block, live.size());
+        if (end < live.size()) {
+            block_chunks(end, next);
+            res.pinAsync(next);
+        }
+        parallelFor(at, end, threads,
+                    worker([&live](std::uint64_t i) { return live[i]; }),
+                    1, cost);
+        res.unpin(cur);
+        if (end < live.size())
+            res.waitPins();
+        std::swap(cur, next);
+    }
 }
 
 } // namespace
@@ -426,8 +435,8 @@ void
 applyGroup(ChunkedStateVector &state, const Gate &gate,
            const GatePlan &plan, Index group)
 {
+    // Serial: state.chunk() materializes each chunk on demand.
     if (plan.perChunk()) {
-        // state.chunk() materializes on demand (serial path).
         if (gate.isDiagonal())
             applyDiagToChunk(state, gate.matrix(), gate.qubits,
                              group);
@@ -437,13 +446,9 @@ applyGroup(ChunkedStateVector &state, const Gate &gate,
     }
     GroupScratch scratch;
     plan.membersInto(group, scratch.members);
-    if (state.boundedStorage())
-        state.residency()->pin(scratch.members);
     const Gate remapped = remapGateForGroup(gate, plan.globalBits(),
                                             state.chunkBits());
     applyGroupPrepared(state, makeKernelSpec(remapped), plan, scratch);
-    if (state.boundedStorage())
-        state.residency()->unpin(scratch.members);
 }
 
 void
@@ -452,130 +457,35 @@ applyGateChunked(ChunkedStateVector &state, const Gate &gate,
 {
     const WallClock wall;
     const GatePlan plan(gate, state.numQubits(), state.chunkBits());
-
-    // The groups partition the chunk set: every chunk is a member of
-    // exactly one group, which is what makes the concurrent fan-out
-    // below race-free by construction.
-    if (plan.numGroups() * static_cast<Index>(plan.chunksPerGroup()) !=
-        state.numChunks())
-        QGPU_PANIC("gate plan does not partition the ",
-                   state.numChunks(), "-chunk state: ",
-                   plan.numGroups(), " groups x ",
-                   plan.chunksPerGroup(), " chunks");
-
-    const int threads = simThreads();
-    const bool bounded = state.boundedStorage();
-    // Run body(chunk) over every live chunk: the plain parallel
-    // fan-out, or (bounded storage) a pinned-block pipeline with
-    // asynchronous prefetch of the next block's refills.
-    const auto for_each_live_chunk = [&](double cost, auto &&body) {
-        if (!bounded) {
-            parallelFor(
-                0, plan.numGroups(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    for (Index g = lo; g < hi; ++g) {
-                        if (zero && zero(g))
-                            continue;
-                        body(g);
-                    }
-                },
-                1, cost);
-            return;
-        }
-        ChunkResidency &res = *state.residency();
-        const std::vector<Index> live = liveChunks(state, zero);
-        runPinnedBlocks(
-            res, live, res.maxPinnedBlock(), expandChunk,
-            [&](std::span<const Index> blk) {
-                parallelFor(
-                    std::size_t{0}, blk.size(), threads,
-                    [&](std::uint64_t lo, std::uint64_t hi) {
-                        for (std::uint64_t i = lo; i < hi; ++i)
-                            body(blk[i]);
-                    },
-                    1, cost);
-            });
-    };
     if (gate.isDiagonal()) {
         const GateMatrix m = gate.matrix();
-        for_each_live_chunk(
-            static_cast<double>(state.chunkSize()), [&](Index g) {
-                applyDiagToChunk(state, m, gate.qubits, g);
-            });
+        forEachLiveGroup(state, plan, zero,
+                         static_cast<double>(state.chunkSize()),
+                         [&](Index c, GroupScratch &) {
+                             applyDiagToChunk(state, m, gate.qubits, c);
+                         });
         recordKernelMetrics(diagKindOf(gate.numQubits()),
                             stateSize(state.numQubits()));
-    } else if (plan.perChunk()) {
-        const KernelSpec spec = makeKernelSpec(gate, tier);
-        for_each_live_chunk(
-            static_cast<double>(specAmps(spec, state.chunkBits())),
-            [&](Index g) { applySpecToChunk(state, spec, g); });
-        recordKernelMetrics(spec.kind,
-                            plan.numGroups() *
-                                specAmps(spec, state.chunkBits()));
     } else {
-        const Gate remapped = remapGateForGroup(
-            gate, plan.globalBits(), state.chunkBits());
-        const KernelSpec spec = makeKernelSpec(remapped, tier);
-        const int sub_qubits =
-            state.chunkBits() +
-            static_cast<int>(plan.globalBits().size());
-        const double cost =
-            static_cast<double>(specAmps(spec, sub_qubits));
-        if (!bounded) {
-            parallelFor(
-                0, plan.numGroups(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    GroupScratch scratch;
-                    for (Index g = lo; g < hi; ++g) {
-                        // Compute the member list once per group; the
-                        // prune check and the apply below share it.
-                        plan.membersInto(g, scratch.members);
-                        if (zero) {
-                            const bool all_zero = std::all_of(
-                                scratch.members.begin(),
-                                scratch.members.end(),
-                                [&zero](Index c) { return zero(c); });
-                            if (all_zero)
-                                continue;
-                        }
-                        applyGroupPrepared(state, spec, plan, scratch);
-                    }
-                },
-                1, cost);
-        } else {
-            // Gather/scatter touch every member, so whole groups are
-            // pinned per block (same skip decision as above via
-            // liveGroups).
-            ChunkResidency &res = *state.residency();
-            const std::vector<Index> lg = liveGroups(plan, zero);
-            const Index per_block = std::max<Index>(
-                1, res.maxPinnedBlock() / plan.chunksPerGroup());
-            std::vector<Index> members;
-            runPinnedBlocks(
-                res, lg, per_block,
-                [&](Index g, std::vector<Index> &out) {
-                    plan.membersInto(g, members);
-                    out.insert(out.end(), members.begin(),
-                               members.end());
-                },
-                [&](std::span<const Index> blk) {
-                    parallelFor(
-                        std::size_t{0}, blk.size(), threads,
-                        [&](std::uint64_t lo, std::uint64_t hi) {
-                            GroupScratch scratch;
-                            for (std::uint64_t i = lo; i < hi; ++i) {
-                                plan.membersInto(blk[i],
-                                                 scratch.members);
-                                applyGroupPrepared(state, spec, plan,
-                                                   scratch);
-                            }
-                        },
-                        1, cost);
-                });
-        }
-        recordKernelMetrics(spec.kind,
-                            plan.numGroups() *
-                                specAmps(spec, sub_qubits));
+        // A chunk-local gate runs in place on each chunk, a
+        // cross-chunk one on each group's gathered register (targets
+        // remapped into it; a no-op remap for chunk-local gates).
+        const KernelSpec spec = makeKernelSpec(
+            remapGateForGroup(gate, plan.globalBits(), state.chunkBits()),
+            tier);
+        const Index group_amps = specAmps(
+            spec, state.chunkBits() +
+                      static_cast<int>(plan.globalBits().size()));
+        forEachLiveGroup(state, plan, zero,
+                         static_cast<double>(group_amps),
+                         [&](Index g, GroupScratch &scratch) {
+                             if (plan.perChunk())
+                                 applySpecToChunk(state, spec, g);
+                             else
+                                 applyGroupPrepared(state, spec, plan,
+                                                    scratch);
+                         });
+        recordKernelMetrics(spec.kind, plan.numGroups() * group_amps);
     }
     applySlots().wallTime.observe(wall.seconds());
 }
@@ -590,13 +500,16 @@ applySweepChunked(ChunkedStateVector &state,
         return;
     const WallClock wall;
     const int chunk_bits = state.chunkBits();
-    const int num_qubits = state.numQubits();
     const Index chunk_size = state.chunkSize();
     const std::vector<SweepOp> ops = buildSweepOps(
-        gates, global_bits, num_qubits, chunk_bits, tier);
-    const int threads = simThreads();
+        gates, global_bits, state.numQubits(), chunk_bits, tier);
+    const GatePlan plan(global_bits, state.numQubits(), chunk_bits);
+    const int span = plan.chunksPerGroup();
+    const double cost = static_cast<double>(ops.size()) *
+                        static_cast<double>(chunk_size) *
+                        static_cast<double>(span);
 
-    if (global_bits.empty()) {
+    if (plan.perChunk()) {
         // Chunk-local sweep: each chunk is loaded once and every gate
         // chains over it while it is cache-resident. A chunk that
         // out-sizes the cache-derived sweep tile (common/cacheinfo.hh)
@@ -629,7 +542,7 @@ applySweepChunked(ChunkedStateVector &state,
                 op_tile_items[i] =
                     kernelWorkItems(ops[i].spec, chunk_bits) /
                     num_tiles;
-        const auto run_chunk = [&](Index c) {
+        const auto run_chunk = [&](Index c, GroupScratch &) {
             Amp *data = state.chunk(c).data();
             for (Index t = 0; t < num_tiles; ++t) {
                 const Index a0 = t << tile_bits;
@@ -653,88 +566,23 @@ applySweepChunked(ChunkedStateVector &state,
                 }
             }
         };
-        const double chunk_cost = static_cast<double>(ops.size()) *
-                                  static_cast<double>(chunk_size);
-        if (!state.boundedStorage()) {
-            parallelFor(
-                0, state.numChunks(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    for (Index c = lo; c < hi; ++c) {
-                        if (zero && zero(c))
-                            continue;
-                        run_chunk(c);
-                    }
-                },
-                1, chunk_cost);
-        } else {
-            // Bounded storage: pin a working-set-sized block of live
-            // chunks, compute it in parallel, and prefetch the next
-            // block's refills on the pool meanwhile.
-            ChunkResidency &res = *state.residency();
-            const std::vector<Index> live = liveChunks(state, zero);
-            runPinnedBlocks(
-                res, live, res.maxPinnedBlock(), expandChunk,
-                [&](std::span<const Index> blk) {
-                    parallelFor(
-                        std::size_t{0}, blk.size(), threads,
-                        [&](std::uint64_t lo, std::uint64_t hi) {
-                            for (std::uint64_t i = lo; i < hi; ++i)
-                                run_chunk(blk[i]);
-                        },
-                        1, chunk_cost);
-                });
-        }
+        forEachLiveGroup(state, plan, zero, cost, run_chunk);
     } else {
-        const GatePlan plan(global_bits, num_qubits, chunk_bits);
-        if (plan.numGroups() *
-                static_cast<Index>(plan.chunksPerGroup()) !=
-            state.numChunks())
-            QGPU_PANIC("sweep plan does not partition the ",
-                       state.numChunks(), "-chunk state: ",
-                       plan.numGroups(), " groups x ",
-                       plan.chunksPerGroup(), " chunks");
+        // Cross-chunk sweep: gather each group once and chain every
+        // op over the register. Cross-chunk kernels run on the whole
+        // register, exactly like gate-by-gate's group apply (which
+        // runs when any member is live); chunk-local and diagonal
+        // work skips dead members, as gate-by-gate's per-chunk path
+        // does (`zero` is constant across a sweep).
         const int sub_qubits =
             chunk_bits + static_cast<int>(global_bits.size());
-        const int span = plan.chunksPerGroup();
-        const auto run_group = [&](Index g, GroupScratch &scratch,
-                                   std::vector<char> &live) {
-            plan.membersInto(g, scratch.members);
-            // Per-member liveness, computed once: the mask
-            // behind `zero` is constant across a sweep, and
-            // skip decisions must match gate-by-gate exactly
-            // (writing to a provably-zero chunk could flip
-            // signed-zero bits).
-            bool any_live = true;
-            if (zero) {
-                live.assign(span, 0);
-                any_live = false;
-                for (int m = 0; m < span; ++m)
-                    if (!zero(scratch.members[m])) {
-                        live[m] = 1;
-                        any_live = true;
-                    }
-            }
-            if (!any_live)
-                return;
+        const auto run_group = [&](Index, GroupScratch &scratch) {
             prepareGathered(scratch, stateSize(sub_qubits));
-            state.gatherChunks(scratch.members,
-                               scratch.gathered.data());
             Amp *reg = scratch.gathered.data();
+            state.gatherChunks(scratch.members, reg);
             for (const SweepOp &op : ops) {
                 if (op.cross) {
-                    // Whole gathered register, exactly like
-                    // gate-by-gate's group apply (which runs
-                    // when any member is live).
                     applyKernel(op.spec, reg, sub_qubits);
-                    continue;
-                }
-                if (!op.diag) {
-                    for (int m = 0; m < span; ++m) {
-                        if (zero && !live[m])
-                            continue;
-                        applyKernel(op.spec, reg + m * chunk_size,
-                                    chunk_bits);
-                    }
                     continue;
                 }
                 int group_fixed = 0;
@@ -743,62 +591,25 @@ applySweepChunked(ChunkedStateVector &state,
                                        scratch.members[0], gb))
                                    << j;
                 for (int m = 0; m < span; ++m) {
-                    if (zero && !live[m])
+                    if (!scratch.live[m])
                         continue;
+                    Amp *data = reg + m * chunk_size;
+                    if (!op.diag) {
+                        applyKernel(op.spec, data, chunk_bits);
+                        continue;
+                    }
                     int fixed = group_fixed;
                     for (const auto &[p, j] : op.memberSel)
                         fixed |= static_cast<int>(bits::testBit(
                                      static_cast<std::uint64_t>(m), p))
                                  << j;
-                    applyDiagFolded(reg + m * chunk_size, chunk_size,
-                                    fixed, op.low, op.dm);
+                    applyDiagFolded(data, chunk_size, fixed, op.low,
+                                    op.dm);
                 }
             }
-            state.scatterChunks(scratch.members,
-                                scratch.gathered.data());
+            state.scatterChunks(scratch.members, reg);
         };
-        const double group_cost = static_cast<double>(ops.size()) *
-                                  static_cast<double>(chunk_size) *
-                                  static_cast<double>(span);
-        if (!state.boundedStorage()) {
-            parallelFor(
-                0, plan.numGroups(), threads,
-                [&](std::uint64_t lo, std::uint64_t hi) {
-                    GroupScratch scratch;
-                    std::vector<char> live;
-                    for (Index g = lo; g < hi; ++g)
-                        run_group(g, scratch, live);
-                },
-                1, group_cost);
-        } else {
-            // Bounded storage: gather/scatter touch every member of a
-            // group, so whole groups are pinned per block (all
-            // members, dead ones included — a Zero chunk zero-fills
-            // to exactly the bytes the raw path holds).
-            ChunkResidency &res = *state.residency();
-            const std::vector<Index> lg = liveGroups(plan, zero);
-            const Index per_block =
-                std::max<Index>(1, res.maxPinnedBlock() / span);
-            std::vector<Index> members;
-            runPinnedBlocks(
-                res, lg, per_block,
-                [&](Index g, std::vector<Index> &out) {
-                    plan.membersInto(g, members);
-                    out.insert(out.end(), members.begin(),
-                               members.end());
-                },
-                [&](std::span<const Index> blk) {
-                    parallelFor(
-                        std::size_t{0}, blk.size(), threads,
-                        [&](std::uint64_t lo, std::uint64_t hi) {
-                            GroupScratch scratch;
-                            std::vector<char> live;
-                            for (std::uint64_t i = lo; i < hi; ++i)
-                                run_group(blk[i], scratch, live);
-                        },
-                        1, group_cost);
-                });
-        }
+        forEachLiveGroup(state, plan, zero, cost, run_group);
     }
 
     // Kernel counters once per gate per sweep, with the same modeled
@@ -808,7 +619,6 @@ applySweepChunked(ChunkedStateVector &state,
         recordKernelMetrics(op.kind, op.amps);
     const ApplySlots &slots = applySlots();
     slots.sweepCount.add();
-    slots.statePasses.add();
     slots.gatesPerSweep.observe(static_cast<double>(gates.size()));
     slots.wallTime.observe(wall.seconds());
 }

@@ -14,7 +14,9 @@
  * and applySweepChunked fan the groups out across the shared thread
  * pool (common/thread_pool.hh) when simThreads() > 1. Each worker
  * reuses one GroupScratch across its groups, so the hot loop performs
- * no per-group heap allocation.
+ * no per-group heap allocation. Under bounded storage the same workers
+ * run block by block over the live groups, each block pinned resident
+ * (statevec/chunk_storage.hh) while the next one is prefetched.
  *
  * Gate application itself goes through the kernel-dispatch layer
  * (statevec/kernel_dispatch.hh): each gate is classified once into a
@@ -81,7 +83,8 @@ class GatePlan
 
 /**
  * Per-worker reusable buffers for group application: the member chunk
- * indices and the contiguous gather register. Cross-chunk groups are
+ * indices, their liveness under the executor's zero predicate, and the
+ * contiguous gather register. Cross-chunk groups are
  * gathered into @c gathered, updated there by the specialized
  * contiguous kernels (statevec/kernel_dispatch.hh), and scattered
  * back; reusing one instance per worker keeps the hot loop free of
@@ -93,6 +96,7 @@ class GatePlan
 struct GroupScratch
 {
     std::vector<Index> members;
+    std::vector<char> live;
     std::vector<Amp> gathered;
 };
 
@@ -144,7 +148,7 @@ void applyGateChunked(ChunkedStateVector &state, const Gate &gate,
  *
  * @p tier selects the kernels exactly as in applyGateChunked.
  *
- * Publishes sweep.count / sweep.state_passes counters, the
+ * Publishes the sweep.count counter, the
  * sweep.gates_per_sweep histogram, and per-gate kernel counters with
  * the same modeled totals as applyGateChunked (once per gate per
  * sweep, never per chunk).

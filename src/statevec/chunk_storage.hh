@@ -1,7 +1,7 @@
 /**
  * @file
- * Pluggable cold-chunk storage for ChunkedStateVector (ROADMAP item 5,
- * MEMQSim-style memory-efficient state): instead of keeping every
+ * Pluggable cold-chunk storage for ChunkedStateVector (MEMQSim-style
+ * memory-efficient state): instead of keeping every
  * chunk fully decompressed in host memory, a bounded working set of
  * chunks stays resident while the rest live in a ColdStore backend —
  * GFC-compressed host buffers (`compressed`) or a scratch file

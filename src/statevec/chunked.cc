@@ -180,6 +180,19 @@ ChunkedStateVector::setPrecision(Precision p, double promote_threshold)
     refreshPrecision();
 }
 
+bool
+ChunkedStateVector::laneIsF32(std::span<const Amp> data) const
+{
+    if (precision_ != Precision::adaptive)
+        return true;
+    double max_mag = 0.0;
+    for (const Amp &a : data) {
+        max_mag = std::max(max_mag, std::abs(a.real()));
+        max_mag = std::max(max_mag, std::abs(a.imag()));
+    }
+    return !(max_mag < promoteThreshold_);
+}
+
 void
 ChunkedStateVector::retagChunks()
 {
@@ -187,18 +200,9 @@ ChunkedStateVector::retagChunks()
         chunkF32_.clear();
         return;
     }
-    chunkF32_.assign(numChunks(), 1);
-    if (precision_ != Precision::adaptive)
-        return;
-    for (Index c = 0; c < numChunks(); ++c) {
-        double max_mag = 0.0;
-        for (const Amp &a : chunk(c)) {
-            max_mag = std::max(max_mag, std::abs(a.real()));
-            max_mag = std::max(max_mag, std::abs(a.imag()));
-        }
-        if (max_mag < promoteThreshold_)
-            chunkF32_[c] = 0;
-    }
+    chunkF32_.resize(numChunks());
+    for (Index c = 0; c < numChunks(); ++c)
+        chunkF32_[c] = laneIsF32(chunk(c));
 }
 
 void
@@ -208,71 +212,45 @@ ChunkedStateVector::refreshPrecision()
         chunkF32_.clear();
         return;
     }
-    if (residency_) {
-        // Per chunk: materialize (cold chunks round-trip losslessly,
-        // so tags are still decided on pre-quantize values), re-tag,
-        // then round fp32-lane chunks in place. Interleaving chunks
-        // is bit-identical to the raw two-phase path because tag and
-        // rounding are pure per-chunk functions. Known-zero chunks
-        // skip materialization outright: their tag is what a zero
-        // scan yields and rounding zeros is the identity.
-        chunkF32_.assign(numChunks(), 1);
-        for (Index c = 0; c < numChunks(); ++c) {
-            if (residency_->stateOf(c) !=
-                    ChunkResidency::State::Resident &&
-                residency_->knownZero(c)) {
-                if (precision_ == Precision::adaptive)
-                    chunkF32_[c] = 0;
-                continue;
-            }
-            double *raw = reinterpret_cast<double *>(chunk(c).data());
-            const Index lanes = 2 * chunkSize();
-            if (precision_ == Precision::adaptive) {
-                double max_mag = 0.0;
-                for (Index i = 0; i < lanes; ++i)
-                    max_mag = std::max(max_mag, std::abs(raw[i]));
-                if (max_mag < promoteThreshold_) {
-                    chunkF32_[c] = 0;
-                    continue;
-                }
-            }
-            for (Index i = 0; i < lanes; ++i)
-                raw[i] =
-                    static_cast<double>(static_cast<float>(raw[i]));
-        }
+    chunkF32_.resize(numChunks());
+    // Tag chunk c on its pre-quantize values, then round it in place
+    // if it lands in the fp32 lane. Both are pure per-chunk functions,
+    // so any chunk order or interleaving gives the same bits.
+    const auto refresh = [this](Index c) {
+        const std::span<Amp> data = chunk(c);
+        chunkF32_[c] = laneIsF32(data);
+        if (!chunkF32_[c])
+            return;
+        // Quantize through the raw double view: identical to
+        // quantizeAmpF32 per component, but free of the complex-typed
+        // narrowing that GCC 12 miscompiles (see quantizeAmpF32) and
+        // vectorizable.
+        double *raw = reinterpret_cast<double *>(data.data());
+        const Index lanes = 2 * data.size();
+        for (Index i = 0; i < lanes; ++i)
+            raw[i] = static_cast<double>(static_cast<float>(raw[i]));
+    };
+    if (!residency_) {
+        parallelFor(
+            Index{0}, numChunks(), simThreads(),
+            [&](Index cb, Index ce) {
+                for (Index c = cb; c < ce; ++c)
+                    refresh(c);
+            },
+            1, static_cast<double>(chunkSize()) * sizeof(Amp));
         return;
     }
-    retagChunks();
-    const double cost =
-        static_cast<double>(chunkSize()) * sizeof(Amp);
-    parallelFor(
-        Index{0}, numChunks(), simThreads(),
-        [&](Index cb, Index ce) {
-            for (Index c = cb; c < ce; ++c) {
-                if (!chunkIsF32(c))
-                    continue;
-                // Quantize through the raw double view: identical to
-                // quantizeAmpF32 per component, but free of the
-                // complex-typed narrowing that GCC 12 miscompiles
-                // (see quantizeAmpF32) and vectorizable.
-                double *raw =
-                    reinterpret_cast<double *>(chunk(c).data());
-                const Index lanes = 2 * chunkSize();
-                for (Index i = 0; i < lanes; ++i)
-                    raw[i] = static_cast<double>(
-                        static_cast<float>(raw[i]));
-            }
-        },
-        1, cost);
-}
-
-std::uint64_t
-ChunkedStateVector::totalStoredBytes() const
-{
-    std::uint64_t sum = 0;
-    for (Index c = 0; c < numChunks(); ++c)
-        sum += chunkStoredBytes(c);
-    return sum;
+    // Bounded storage: serially, materializing one chunk at a time
+    // (cold chunks round-trip losslessly). A known-zero chunk is not
+    // materialized: it takes the tag of a zero scan, and rounding
+    // zeros is the identity.
+    for (Index c = 0; c < numChunks(); ++c) {
+        if (residency_->stateOf(c) != ChunkResidency::State::Resident &&
+            residency_->knownZero(c))
+            chunkF32_[c] = laneIsF32({});
+        else
+            refresh(c);
+    }
 }
 
 Index

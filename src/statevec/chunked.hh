@@ -182,9 +182,6 @@ class ChunkedStateVector
         return chunkSize() * ampStoredBytes(chunkIsF32(c));
     }
 
-    /** Stored bytes of the whole register under current lanes. */
-    std::uint64_t totalStoredBytes() const;
-
     /** Chunks currently in the f64 lane due to adaptive promotion
      *  (0 outside adaptive mode). */
     Index promotedChunks() const;
@@ -219,6 +216,10 @@ class ChunkedStateVector
     }
 
   private:
+    /** The lane rule: does a chunk holding @p data live in the fp32
+     *  lane? Always under f32; under adaptive, unless its largest
+     *  component magnitude falls below promoteThreshold(). */
+    bool laneIsF32(std::span<const Amp> data) const;
     void retagChunks();
     void setupResidency();
     void releaseResidency();

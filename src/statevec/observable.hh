@@ -2,8 +2,7 @@
  * @file
  * Pauli-string observables and expectation values. The chemistry
  * workloads (hchain) are Trotterized evolutions of Pauli Hamiltonians;
- * this module evaluates <psi| H |psi> on a final state, which the
- * chemistry example uses to report energies.
+ * this module evaluates <psi| H |psi> on a final state.
  */
 
 #ifndef QGPU_STATEVEC_OBSERVABLE_HH

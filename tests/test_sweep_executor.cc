@@ -271,11 +271,10 @@ TEST(SweepMetrics, StatePassesBelowGateCountOnEveryFamily)
     for (const std::string &family : circuits::benchmarkNames()) {
         const int n = 10;
         const Circuit circuit = circuits::makeBenchmark(family, n);
-        const double before = mr.counter("sweep.state_passes");
+        const double before = mr.counter("sweep.count");
         ChunkedStateVector state(n, n - 4);
         applyCircuitChunked(state, circuit);
-        const double passes =
-            mr.counter("sweep.state_passes") - before;
+        const double passes = mr.counter("sweep.count") - before;
         EXPECT_GT(passes, 0.0) << family;
         EXPECT_LT(passes, static_cast<double>(circuit.numGates()))
             << family;
@@ -304,7 +303,6 @@ TEST(SweepMetrics, CountersAndHistogramAdvancePerSweep)
     const std::vector<Sweep> sweeps =
         scheduleSweeps(circuit.gates(), 4);
     const double count0 = mr.counter("sweep.count");
-    const double passes0 = mr.counter("sweep.state_passes");
     const std::uint64_t hist0 =
         mr.histogram("sweep.gates_per_sweep").count();
 
@@ -313,7 +311,6 @@ TEST(SweepMetrics, CountersAndHistogramAdvancePerSweep)
 
     const double delta = static_cast<double>(sweeps.size());
     EXPECT_EQ(mr.counter("sweep.count") - count0, delta);
-    EXPECT_EQ(mr.counter("sweep.state_passes") - passes0, delta);
     EXPECT_EQ(mr.histogram("sweep.gates_per_sweep").count() - hist0,
               sweeps.size());
 }
