@@ -14,11 +14,12 @@
  *    KernelKind on one raw buffer. "Generic" is the accessor-based
  *    kernels::applyK reference (the pre-dispatch k-qubit path),
  *    "Routed" is kernels::applyGate (the old shape routing, kept as a
- *    regression guard), "Dispatch" is the specialized contiguous
- *    kernel behind applyKernel, and "DispatchFast" is the same spec
- *    through the fast-math tier entry point (contracted-FMA codegen
- *    when the build compiled it; the label notes the exact fallback
- *    otherwise). The ISSUE acceptance bar is Dispatch >= 2x Generic
+ *    regression guard), "Dispatch" and "DispatchAvx2" are the
+ *    specialized contiguous kernels of the two exact copies behind
+ *    applyKernel (baseline SSE2 and AVX2), and "DispatchFast" is the
+ *    same spec through the fast-math tier entry point (contracted-FMA
+ *    codegen when the build compiled it; the label notes the exact
+ *    fallback otherwise). Dispatch should run at least 2x Generic
  *    for dense-1q, diag-1q/2q, and ctrl-1q on chunk-local (low)
  *    targets.
  */
@@ -26,6 +27,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_micro_common.hh"
@@ -214,52 +216,62 @@ BM_KindRouted(benchmark::State &bench_state)
 }
 BENCHMARK(BM_KindRouted)->DenseRange(0, numKernelKinds - 1);
 
-/** Specialized contiguous kernels behind the dispatch layer. */
+/** The kind's spec through one compilation's dispatch entry; the
+ *  label is the kind plus @p copy. */
 void
-BM_KindDispatch(benchmark::State &bench_state)
+runKindDispatch(benchmark::State &bench_state,
+                decltype(&kern::dispatch) dispatch, const std::string &copy)
 {
     const auto kind = static_cast<KernelKind>(bench_state.range(0));
-    const Gate gate = kindGate(kind);
-    const KernelSpec spec = makeKernelSpec(gate);
+    const KernelSpec spec = makeKernelSpec(kindGate(kind));
     std::vector<Amp> amps = kindBuffer();
     Amp *data = amps.data();
+    const Index items = kernelWorkItems(spec, kKindQubits);
     for (auto _ : bench_state) {
-        applyKernel(spec, data, kKindQubits);
+        dispatch(spec, data, kKindQubits, 0, items);
         benchmark::DoNotOptimize(data);
+        benchmark::ClobberMemory();
     }
-    bench_state.SetLabel(kernelKindName(kind));
+    bench_state.SetLabel(std::string(kernelKindName(kind)) + "/" + copy);
     bench_state.SetItemsProcessed(
         static_cast<std::int64_t>(bench_state.iterations()) *
         static_cast<std::int64_t>(amps.size()));
 }
+
+/** Specialized contiguous kernels, baseline exact copy (kern::, SSE2
+ *  on x86-64): what applyKernel runs on hosts without AVX2. */
+void
+BM_KindDispatch(benchmark::State &bench_state)
+{
+    runKindDispatch(bench_state, kern::dispatch, "sse2");
+}
 BENCHMARK(BM_KindDispatch)->DenseRange(0, numKernelKinds - 1);
+
+/** The same kernels, AVX2 exact copy (kernavx2::, bit-identical to
+ *  kern::): what applyKernel runs on AVX2 hosts. */
+void
+BM_KindDispatchAvx2(benchmark::State &bench_state)
+{
+    if (std::string_view(exactKernels().isa) != "avx2") {
+        bench_state.SkipWithError("host has no AVX2");
+        return;
+    }
+    runKindDispatch(bench_state, kernavx2::dispatch, "avx2");
+}
+BENCHMARK(BM_KindDispatchAvx2)->DenseRange(0, numKernelKinds - 1);
 
 /**
  * Fast-math tier of the same specialized kernels: contracted-FMA /
  * wider-vector codegen when the build compiled the fast TU
  * (QGPU_FAST_MATH=ON); otherwise kernfast compiles to the exact
- * kernels and the row's label says so. The delta over BM_KindDispatch
+ * kernels and the row's label says so. The delta over the exact rows
  * is what --fast-math buys per kernel kind on this machine.
  */
 void
 BM_KindDispatchFast(benchmark::State &bench_state)
 {
-    const auto kind = static_cast<KernelKind>(bench_state.range(0));
-    const Gate gate = kindGate(kind);
-    const KernelSpec spec = makeKernelSpec(gate);
-    std::vector<Amp> amps = kindBuffer();
-    Amp *data = amps.data();
-    const Index items = kernelWorkItems(spec, kKindQubits);
-    for (auto _ : bench_state) {
-        kernfast::dispatch(spec, data, kKindQubits, 0, items);
-        benchmark::DoNotOptimize(data);
-    }
-    bench_state.SetLabel(std::string(kernelKindName(kind)) +
-                         (fastMathCompiled() ? "/fma"
-                                             : "/exact-fallback"));
-    bench_state.SetItemsProcessed(
-        static_cast<std::int64_t>(bench_state.iterations()) *
-        static_cast<std::int64_t>(amps.size()));
+    runKindDispatch(bench_state, kernfast::dispatch,
+                    fastMathCompiled() ? "fma" : "exact-fallback");
 }
 BENCHMARK(BM_KindDispatchFast)->DenseRange(0, numKernelKinds - 1);
 

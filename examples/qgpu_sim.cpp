@@ -323,17 +323,16 @@ main(int argc, char **argv)
     if (args.working_set > 0)
         options.workingSetChunks = static_cast<Index>(args.working_set);
     options.spillDir = args.spill_dir;
-    if (options.fastMath || options.precision != Precision::f64 ||
-        options.storage != StorageKind::Raw)
-        std::printf("tiers:   kernels=%s, precision=%s, "
-                    "chunk-storage=%s\n",
-                    options.fastMath
-                        ? (fastMathCompiled()
-                               ? "fast-math(compiled)"
-                               : "fast-math(fallback-exact)")
-                        : "exact",
-                    precisionName(options.precision),
-                    storageKindName(options.storage));
+    const std::string exact_label =
+        std::string("exact(") + exactKernels().isa + ")";
+    std::printf("tiers:   kernels=%s, precision=%s, "
+                "chunk-storage=%s\n",
+                options.fastMath
+                    ? (fastMathCompiled() ? "fast-math(compiled)"
+                                          : "fast-math(fallback-exact)")
+                    : exact_label.c_str(),
+                precisionName(options.precision),
+                storageKindName(options.storage));
 
     const bool noisy =
         !args.noise_spec.empty() && args.noise_spec != "none";

@@ -10,7 +10,10 @@
 #   --asan         additionally build with -DQGPU_SANITIZE=address (in
 #                  its own build-asan directory) and run the fault/
 #                  integrity suites -- including the tier2 differential
-#                  fuzz sweep -- under AddressSanitizer
+#                  fuzz sweep -- under AddressSanitizer, plus the kernel
+#                  differential suite and the engine ledger, whose
+#                  committed digests must hold under this second code
+#                  generation
 #   --fast-math    additionally build with -DQGPU_FAST_MATH=ON (in its
 #                  own build-check-fast directory, so the contracted
 #                  kernel TU is actually compiled), assert via a smoke
@@ -21,7 +24,8 @@
 #                  QGPU_FAST_MATH=1 so the 1e-12 accuracy contract is
 #                  exercised end to end
 #
-# The default pass reruns the engine ledger and span checks at
+# The default pass checks the code generation of the exact tier's
+# AVX2 kernel copy (x86-64), reruns the engine ledger and span checks at
 # QGPU_SIM_THREADS=4, and rebuilds the kernel differential suite
 # with -DQGPU_NATIVE=ON (build-check-native) and reruns it there, so the
 # tolerance-0 specialized-vs-generic guarantee is checked under the
@@ -78,6 +82,29 @@ require_cache "$BUILD_DIR" "QGPU_SANITIZE=" "QGPU_NATIVE=OFF"
 cmake -B "$BUILD_DIR" -S . -DCMAKE_CXX_FLAGS="-Werror"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$JOBS"
+# The exact tier's AVX2 copy stays bit-identical to the baseline copy
+# only without FMA: GCC's complex-multiply pattern emits vfmaddsub
+# whenever FMA3 or AVX-512 is on, whatever -ffp-contract says. It must
+# use ymm registers, or it is no wider than the baseline. And it must
+# define no weak symbol: the linker may keep that AVX2 instance of a
+# template or inline function for every caller, baseline code on a
+# host without AVX2 included.
+if [ "$(uname -m)" = x86_64 ]; then
+    echo "== AVX2 kernel code generation ($BUILD_DIR) =="
+    avx2_obj="$BUILD_DIR/src/statevec/CMakeFiles/qgpu_statevec.dir/kernel_avx2.cc.o"
+    avx2_asm=$(objdump -d --no-show-raw-insn "$avx2_obj")
+    fma_count=$(grep -cE '\svfn?m(add|sub)' <<<"$avx2_asm" || true)
+    ymm_count=$(grep -c 'ymm' <<<"$avx2_asm" || true)
+    weak=$(nm -C --defined-only "$avx2_obj" | awk '$2 == "W"')
+    if [ "$fma_count" -ne 0 ] || [ "$ymm_count" -eq 0 ] || [ -n "$weak" ]
+    then
+        echo "error: kernel_avx2.cc.o has $fma_count FMA instructions" >&2
+        echo "       (want 0) and $ymm_count ymm uses (want > 0);" >&2
+        echo "       weak symbols (want none): ${weak:-none}" >&2
+        exit 1
+    fi
+    echo "ok: $ymm_count ymm uses, no FMA, no weak symbols"
+fi
 # The engine ledger and span checks again at 4 host threads: the
 # committed virtual times, counters and final-state digests must not
 # depend on the worker count.
@@ -186,7 +213,7 @@ if [ "$RUN_ASAN" -eq 1 ]; then
         test_fault_fuzz test_compress test_engines \
         test_chunk_storage test_storage_differential \
         test_storage_fuzz test_noise test_noise_fuzz \
-        test_batched_differential
+        test_batched_differential test_kernel_dispatch test_engine_ledger
     # The fault-injection surface: the unit suite, the long tier2
     # differential fuzz sweep (50 seeds x every engine version x three
     # prune modes, recovery must be bit-identical or a structured
@@ -198,7 +225,10 @@ if [ "$RUN_ASAN" -eq 1 ]; then
     # noise suites join for the same reason: shot batches allocate a
     # fresh chunked state per shot and the tier2 noise fuzz sweeps
     # every version x prune mode with sampled gate insertion (plus a
-    # fault-on-top-of-noise leg).
+    # fault-on-top-of-noise leg). The kernel differential suite and the
+    # engine ledger check the kernels' buffer bounds, and the ledger's
+    # digests, committed from the default build, must hold under this
+    # second code generation.
     ctest --test-dir "$ASAN_DIR" --output-on-failure -j "$JOBS" \
-        -R 'Checksum|FaultSpec|FaultInjector|SimError|GuardedTransfer|FaultSmoke|FaultFuzz|GfcProperties|EdgeCases|ColdStoreRoundTrip|BoundedState|StorageDifferential|StorageFuzz|Noise|Batched'
+        -R 'Checksum|FaultSpec|FaultInjector|SimError|GuardedTransfer|FaultSmoke|FaultFuzz|GfcProperties|EdgeCases|ColdStoreRoundTrip|BoundedState|StorageDifferential|StorageFuzz|Noise|Batched|KernelDispatch|EngineLedger'
 fi

@@ -101,16 +101,17 @@ applyDiagFolded(Amp *data, Index size, int fixed_sel,
                 std::span<const std::pair<int, int>> local,
                 const GateMatrix &m)
 {
+    const ExactKernels &exact = exactKernels();
     // No varying targets: one constant diagonal entry scales the
     // whole slice.
     if (local.empty()) {
-        kern::scale(data, m.at(fixed_sel, fixed_sel), 0, size);
+        exact.scale(data, m.at(fixed_sel, fixed_sel), 0, size);
         return;
     }
     if (local.size() == 1) {
         const auto [q0, j0] = local[0];
         const int sel1 = fixed_sel | (1 << j0);
-        kern::diag1(data, q0, m.at(fixed_sel, fixed_sel),
+        exact.diag1(data, q0, m.at(fixed_sel, fixed_sel),
                     m.at(sel1, sel1), 0, size);
         return;
     }
@@ -127,7 +128,7 @@ applyDiagFolded(Amp *data, Index size, int fixed_sel,
                             (((c >> 1) & 1) << jb);
             lut[c] = m.at(sel, sel);
         }
-        kern::diag2(data, qa, qb, lut, 0, size);
+        exact.diag2(data, qa, qb, lut, 0, size);
         return;
     }
 

@@ -94,8 +94,12 @@ ChunkedStateVector::gatherChunks(std::span<const Index> members,
                                  Amp *dst) const
 {
     const Index size = chunkSize();
-    for (std::size_t s = 0; s < members.size(); ++s)
-        std::ranges::copy(chunk(members[s]), dst + s * size);
+    for (std::size_t s = 0; s < members.size(); ++s) {
+        // Through raw pointers: GCC 12 copies a span range element by
+        // element, a pointer range with one memmove.
+        const Amp *src = chunk(members[s]).data();
+        std::copy(src, src + size, dst + s * size);
+    }
 }
 
 void

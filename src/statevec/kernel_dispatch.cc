@@ -26,6 +26,12 @@ kernelKindName(KernelKind kind)
     return "?";
 }
 
+void
+panicUnhandledKind(KernelKind kind)
+{
+    QGPU_PANIC("unhandled kernel kind ", static_cast<int>(kind));
+}
+
 namespace kern
 {
 #include "statevec/kernel_body.inc"
@@ -138,7 +144,7 @@ kernelWorkItems(const KernelSpec &spec, int num_qubits)
         return stateSize(num_qubits -
                          static_cast<int>(spec.qubits.size()));
     }
-    QGPU_PANIC("unhandled kernel kind");
+    panicUnhandledKind(spec.kind);
 }
 
 int
@@ -158,7 +164,7 @@ kernelItemWidth(const KernelSpec &spec)
       case KernelKind::DenseK:
         return 1 << spec.qubits.size();
     }
-    QGPU_PANIC("unhandled kernel kind");
+    panicUnhandledKind(spec.kind);
 }
 
 void
@@ -171,7 +177,23 @@ applyKernel(const KernelSpec &spec, Amp *data, int num_qubits,
     if (spec.tier == KernelTier::Fast)
         kernfast::dispatch(spec, data, num_qubits, begin, end);
     else
-        kern::dispatch(spec, data, num_qubits, begin, end);
+        exactKernels().dispatch(spec, data, num_qubits, begin, end);
+}
+
+const ExactKernels &
+exactKernels()
+{
+    static const ExactKernels selected = [] {
+#if defined(__x86_64__)
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("avx2"))
+            return ExactKernels{"avx2", kernavx2::scale, kernavx2::diag1,
+                                kernavx2::diag2, kernavx2::dispatch};
+#endif
+        return ExactKernels{"sse2", kern::scale, kern::diag1,
+                            kern::diag2, kern::dispatch};
+    }();
+    return selected;
 }
 
 void

@@ -11,13 +11,15 @@
  * generic accessor-indirected dense matvec in kernels.hh.
  *
  * The kernels are written once, in kernel_body.inc, and compiled
- * twice: kern:: is the exact tier, kernfast:: the fast-math tier (see
- * KernelTier). kernels.hh remains the reference implementation; the
- * differential suite (tests/test_kernel_dispatch.cc) asserts every
- * exact-tier kernel is bit-identical (tolerance 0) to it. All kernels
- * take a [begin, end) range in the kind's work-item space so parallel
- * callers can split freely; any split yields the same result as one
- * full-range call.
+ * three times: kern:: and kernavx2:: are the exact tier at baseline
+ * and AVX2 width (exactKernels() picks one per process), kernfast::
+ * the fast-math tier (see KernelTier). kernels.hh remains the
+ * reference implementation; the differential suite
+ * (tests/test_kernel_dispatch.cc) asserts every exact-tier kernel is
+ * bit-identical (tolerance 0) to it, and the two exact copies to each
+ * other. All kernels take a [begin, end) range in the kind's work-item
+ * space so parallel callers can split freely; any split yields the
+ * same result as one full-range call.
  *
  * Per-kind invocation/amplitude counters are published to
  * MetricsRegistry under "kernel.<kind>.invocations" and
@@ -60,10 +62,17 @@ inline constexpr int numKernelKinds = 8;
 const char *kernelKindName(KernelKind kind);
 
 /**
+ * Panic on a kind outside the enum. Out of line, so the kernel copies
+ * built for wider instruction sets emit no message-formatting code the
+ * linker could pick for the whole program.
+ */
+[[noreturn]] void panicUnhandledKind(KernelKind kind);
+
+/**
  * Execution tier a spec is lowered for. The kernels are written once,
- * in kernel_body.inc, and compiled twice. @c Exact runs the kern::
- * compilation (kernel_dispatch.cc, default flags), bit-identical
- * (tolerance 0) to kernels.hh. @c Fast runs the kernfast::
+ * in kernel_body.inc. @c Exact runs the copy exactKernels() selected
+ * (kern:: or kernavx2::), bit-identical (tolerance 0) to kernels.hh
+ * for finite amplitudes. @c Fast runs the kernfast::
  * compilation (kernel_fast.cc, -ffp-contract=fast and the host's
  * FMA/AVX-512 sets under CMake option QGPU_FAST_MATH): same
  * arithmetic, contracted rounding, accuracy-bounded at 1e-12 against
@@ -160,10 +169,12 @@ void applyKernel(const KernelSpec &spec, Amp *data, int num_qubits,
 void recordKernelMetrics(KernelKind kind, Index amps);
 
 /**
- * Exact-tier kernels (kernel_body.inc compiled in kernel_dispatch.cc).
- * The diagonal ones are exposed for the chunked diagonal path, which
- * folds chunk-global selector bits into the LUT before calling.
- * Ranges are in each kernel's own work-item space, as in applyKernel.
+ * Exact-tier kernels at baseline width (kernel_body.inc compiled in
+ * kernel_dispatch.cc under the default flags: SSE2 on x86-64), the
+ * fallback on hosts without AVX2. The diagonal ones are exposed for
+ * the chunked diagonal path, which folds chunk-global selector bits
+ * into the LUT before calling. Ranges are in each kernel's own
+ * work-item space, as in applyKernel.
  */
 namespace kern
 {
@@ -190,6 +201,44 @@ void dispatch(const KernelSpec &spec, Amp *data, int num_qubits,
               Index begin, Index end);
 
 } // namespace kern
+
+/**
+ * The exact-tier kernels compiled in kernel_avx2.cc at AVX2 width
+ * (x86-64: -O3 -mavx2, FMA, AVX-512 and contraction off). Same
+ * operations in the same order as kern::, so bit-identical to it for
+ * finite amplitudes. Only run them where exactKernels() selected them
+ * or the CPU otherwise reports AVX2.
+ */
+namespace kernavx2
+{
+
+void scale(Amp *data, Amp f, Index begin, Index end);
+void diag1(Amp *data, int t, Amp d0, Amp d1, Index begin, Index end);
+void diag2(Amp *data, int t_lo, int t_hi, const Amp *lut,
+           Index begin, Index end);
+void dispatch(const KernelSpec &spec, Amp *data, int num_qubits,
+              Index begin, Index end);
+
+} // namespace kernavx2
+
+/**
+ * The exact-tier entries this process runs, chosen once on first use:
+ * kernavx2:: when the CPU reports AVX2, kern:: otherwise. Every
+ * exact-tier kernel call goes through it (applyKernel and the chunked
+ * diagonal path).
+ */
+struct ExactKernels
+{
+    /** Instruction set of the selected copy: "avx2" or "sse2". */
+    const char *isa;
+    decltype(&kern::scale) scale;
+    decltype(&kern::diag1) diag1;
+    decltype(&kern::diag2) diag2;
+    decltype(&kern::dispatch) dispatch;
+};
+
+/** The selected exact-tier copy (probes the CPU on the first call). */
+const ExactKernels &exactKernels();
 
 /**
  * The same kernels compiled in kernel_fast.cc under the fast-math

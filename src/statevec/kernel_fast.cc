@@ -1,11 +1,11 @@
 /**
  * @file
- * Fast-tier kernels: kernel_body.inc compiled a second time, inside
+ * Fast-tier kernels: kernel_body.inc compiled once more, inside
  * namespace kernfast, in a translation unit the build hands
  * -ffp-contract=fast plus the host's FMA/AVX-512 instruction sets
  * (CMake option QGPU_FAST_MATH) while the exact tier in
- * kernel_dispatch.cc keeps the bit-identity-preserving code
- * generation.
+ * kernel_dispatch.cc and kernel_avx2.cc keeps the
+ * bit-identity-preserving code generation.
  *
  * The speedup comes from the code generation, not a different
  * algorithm: under contraction GCC fuses each complex multiply-add's
@@ -24,7 +24,6 @@
 #include <array>
 
 #include "common/bits.hh"
-#include "common/logging.hh"
 #include "statevec/kernel_dispatch.hh"
 
 namespace qgpu

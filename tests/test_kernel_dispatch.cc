@@ -5,12 +5,19 @@
  * accessor-based reference in statevec/kernels.hh, across gate kinds,
  * random matrices, chunk-local and cross-chunk targets, and flat and
  * chunked states. Also covers classification, fused-diagonal
- * detection, range-split determinism, and the per-kind metrics.
+ * detection, range-split determinism, and the per-kind metrics, and
+ * that the baseline (kern::) and AVX2 (kernavx2::) exact copies agree
+ * bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.hh"
@@ -343,6 +350,155 @@ TEST(KernelDispatch, FusedMixedRunIsNotDiagonal)
     const StateVector a = simulateReference(c);
     const StateVector b = simulateReference(fused);
     EXPECT_LT(a.maxAbsDiff(b), 1e-12);
+}
+
+/**
+ * randomAmps with planted edge values: every 7th component +0.0,
+ * every 11th -0.0, every 13th a signed subnormal.
+ */
+std::vector<Amp>
+edgeAmps(int num_qubits, std::uint64_t seed)
+{
+    std::vector<Amp> amps = randomAmps(num_qubits, seed);
+    double *c = reinterpret_cast<double *>(amps.data());
+    const double sub = std::numeric_limits<double>::denorm_min();
+    for (std::size_t i = 0; i < 2 * amps.size(); ++i) {
+        if (i % 13 == 5)
+            c[i] = (i % 2 ? -1.0 : 1.0) * sub * static_cast<double>(i);
+        else if (i % 11 == 3)
+            c[i] = -0.0;
+        else if (i % 7 == 2)
+            c[i] = 0.0;
+    }
+    return amps;
+}
+
+/**
+ * Every kind on an n-qubit register with targets and controls at
+ * bit 0, a middle bit and the top bit: 1q kinds on each position,
+ * 2q kinds on each ordered pair, Ctrl1q with one and two controls,
+ * and 3q kinds across all three positions.
+ */
+std::vector<Gate>
+positionZoo(int n)
+{
+    const std::set<int> unique = {0, n / 2, n - 1};
+    const std::vector<int> pos(unique.begin(), unique.end());
+    std::vector<Gate> gates;
+    std::uint64_t seed = 100;
+    for (int t : pos) {
+        gates.push_back(Gate::makeCustom({t}, randomDiagMatrix(1, ++seed)));
+        gates.push_back(Gate::makeCustom(
+            {t}, {Amp{0, 0}, Amp{0.6, -0.8}, Amp{-0.28, 0.96}, Amp{0, 0}}));
+        gates.push_back(Gate::makeCustom({t}, randomMatrix(1, ++seed)));
+        for (int c : pos) {
+            if (c == t)
+                continue;
+            gates.emplace_back(GateKind::CY, std::vector<int>{c, t});
+            gates.push_back(
+                Gate::makeCustom({c, t}, randomDiagMatrix(2, ++seed)));
+            gates.push_back(
+                Gate::makeCustom({c, t}, randomMatrix(2, ++seed)));
+        }
+    }
+    if (pos.size() == 3) {
+        for (int r = 0; r < 3; ++r) {
+            const int t = pos[r];
+            gates.emplace_back(GateKind::CCX,
+                               std::vector<int>{pos[(r + 1) % 3],
+                                                pos[(r + 2) % 3], t});
+        }
+        gates.push_back(Gate::makeCustom({pos[2], pos[0], pos[1]},
+                                         randomDiagMatrix(3, ++seed)));
+        gates.push_back(Gate::makeCustom({pos[1], pos[2], pos[0]},
+                                         randomMatrix(3, ++seed)));
+    }
+    return gates;
+}
+
+/** [0, items) as one range, and as three misaligned ones. */
+std::vector<std::vector<std::pair<Index, Index>>>
+rangeSets(Index items)
+{
+    const Index a = std::min(items, items / 3 + 1);
+    const Index b = std::min(items, 2 * items / 3 + 1);
+    return {{{0, items}}, {{0, a}, {a, b}, {b, items}}};
+}
+
+/**
+ * The two exact copies are one source compiled for SSE2 and for AVX2
+ * without FMA: outputs must match bit for bit on finite inputs. An
+ * engine on an AVX2 host never runs kern::, so this is what keeps the
+ * fallback covered there. NaN and Inf inputs are out of scope
+ * (DESIGN.md §10).
+ */
+TEST(KernelDispatch, Avx2CopyMatchesBaselineBitExact)
+{
+    if (std::string_view(exactKernels().isa) != "avx2")
+        GTEST_SKIP() << "host has no AVX2";
+    const Amp f0{0.7, -0.3}, f1{-0.2, 0.9};
+    const Amp lut[4] = {{0.5, 0.1}, {-0.6, 0.4}, {0.3, -0.8}, {1.1, 0.2}};
+    for (int n = 1; n <= 12; ++n) {
+        const std::vector<Amp> init = edgeAmps(n, 17 + n);
+        // run(wide, data, begin, end) calls kernavx2:: when wide is
+        // set and kern:: otherwise.
+        const auto check = [&](const std::string &what, Index items,
+                               auto run) {
+            for (const auto &ranges : rangeSets(items)) {
+                std::vector<Amp> base = init, wide = init;
+                for (const auto &[b, e] : ranges) {
+                    if (b < e) {
+                        run(false, base.data(), b, e);
+                        run(true, wide.data(), b, e);
+                    }
+                }
+                EXPECT_EQ(std::memcmp(base.data(), wide.data(),
+                                      base.size() * sizeof(Amp)),
+                          0)
+                    << what << " n=" << n << " ranges=" << ranges.size();
+            }
+        };
+        for (const Gate &gate : positionZoo(n)) {
+            const KernelSpec spec = makeKernelSpec(gate);
+            check(gate.toString(), kernelWorkItems(spec, n),
+                  [&](bool w, Amp *d, Index b, Index e) {
+                      (w ? kernavx2::dispatch : kern::dispatch)(spec, d, n,
+                                                                b, e);
+                  });
+        }
+        const Index size = stateSize(n);
+        check("scale", size, [&](bool w, Amp *d, Index b, Index e) {
+            (w ? kernavx2::scale : kern::scale)(d, f0, b, e);
+        });
+        for (int t = 0; t < n; ++t) {
+            check("diag1 t=" + std::to_string(t), size,
+                  [&](bool w, Amp *d, Index b, Index e) {
+                      (w ? kernavx2::diag1 : kern::diag1)(d, t, f0, f1, b,
+                                                          e);
+                  });
+            for (int hi = t + 1; hi < n; ++hi)
+                check("diag2 t=" + std::to_string(t) + "," +
+                          std::to_string(hi),
+                      size, [&](bool w, Amp *d, Index b, Index e) {
+                          (w ? kernavx2::diag2 : kern::diag2)(d, t, hi,
+                                                              lut, b, e);
+                      });
+        }
+    }
+}
+
+/** The selector runs the AVX2 copy exactly where the CPU has AVX2. */
+TEST(KernelDispatch, SelectsAvx2CopyWhereSupported)
+{
+    const ExactKernels &exact = exactKernels();
+#if defined(__x86_64__)
+    const bool avx2 = __builtin_cpu_supports("avx2");
+#else
+    const bool avx2 = false;
+#endif
+    EXPECT_STREQ(exact.isa, avx2 ? "avx2" : "sse2");
+    EXPECT_EQ(exact.dispatch, avx2 ? &kernavx2::dispatch : &kern::dispatch);
+    EXPECT_EQ(exact.diag1, avx2 ? &kernavx2::diag1 : &kern::diag1);
 }
 
 TEST(KernelDispatch, PublishesPerKindMetrics)
