@@ -15,6 +15,7 @@
  */
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <tuple>
@@ -243,6 +244,66 @@ TEST(SweepScheduler, InvolvementAdvanceClosesSweep)
     // Without a mask, rule 3 is off and the run batches fully.
     const Sweep unpruned = nextSweep(gates, 0, chunk_bits);
     EXPECT_EQ(unpruned.size(), gates.size());
+}
+
+/**
+ * Rule 3 for noise (the batched-shot planner): a gate whose attached
+ * noise can arm a qubit outside the start-of-sweep mask closes its
+ * sweep, unless an earlier pairing change or involvement boundary
+ * already did. chunk_bits 4 on 6 qubits: q4 and q5 are chunk-index
+ * bits 0 and 1.
+ */
+TEST(SweepScheduler, NoiseThatCanArmAQubitClosesSweep)
+{
+    const int n = 6, chunk_bits = 4;
+    constexpr std::uint64_t q2 = 1u << 2;
+    struct Case
+    {
+        const char *name;
+        bool masked;               // pruning on (rule 3 armed)
+        std::vector<int> involved; // mask at the sweep start
+        std::vector<Gate> gates;
+        std::vector<std::uint64_t> noise;
+        std::size_t end;
+        std::vector<int> globalBits;
+    };
+    const std::vector<Case> cases = {
+        {"cut at the noise site", true, {0, 4},
+         {Gate(GateKind::CX, {0, 4}), Gate(GateKind::H, {0}),
+          Gate(GateKind::CX, {0, 4}), Gate(GateKind::H, {0})},
+         {0, q2, 0, 0}, 2, {0}},
+        {"cut drops the only cross-chunk gate", true, {0, 4},
+         {Gate(GateKind::H, {0}), Gate(GateKind::X, {0}),
+          Gate(GateKind::CX, {0, 4}), Gate(GateKind::H, {0})},
+         {0, q2, 0, 0}, 2, {}},
+        {"involvement boundary first", true, {0},
+         {Gate(GateKind::H, {0}), Gate(GateKind::H, {1}),
+          Gate(GateKind::X, {0}), Gate(GateKind::H, {0})},
+         {0, 0, q2, 0}, 2, {}},
+        {"pairing change first", true, {0, 4, 5},
+         {Gate(GateKind::CX, {0, 4}), Gate(GateKind::CX, {0, 5}),
+          Gate(GateKind::H, {0})},
+         {0, 0, q2}, 1, {0}},
+        {"noise on involved qubits", true, {0, 1, 4},
+         {Gate(GateKind::H, {0}), Gate(GateKind::H, {1}),
+          Gate(GateKind::CX, {0, 4}), Gate(GateKind::X, {1})},
+         {0b11, 0b10, 1u << 4, 0b01}, 4, {0}},
+        {"no mask: noise is inert", false, {},
+         {Gate(GateKind::H, {0}), Gate(GateKind::X, {0}),
+          Gate(GateKind::CX, {0, 4})},
+         {0, q2, q2}, 3, {0}},
+    };
+    for (const Case &c : cases) {
+        InvolvementMask mask(n, InvolvementPolicy::PerOp);
+        for (int q : c.involved)
+            mask.involve(q);
+        const Sweep sweep =
+            nextSweep(c.gates, 0, chunk_bits, c.masked ? &mask : nullptr,
+                      c.noise);
+        EXPECT_EQ(sweep.begin, 0u) << c.name;
+        EXPECT_EQ(sweep.end, c.end) << c.name;
+        EXPECT_EQ(sweep.globalBits, c.globalBits) << c.name;
+    }
 }
 
 TEST(SweepScheduler, SweepsExactlyCoverTheSequence)
