@@ -172,7 +172,11 @@ struct ExecOptions
      */
     int codecSampleChunks = 4;
 
-    /** Host threads for CPU-side work (0 = all cores). */
+    /**
+     * OpenMP threads of the simulated host (0 = all of its cores):
+     * part of the model, charged by the baseline's host updates and
+     * the CPU comparators. The real worker count is simThreads().
+     */
     int hostThreads = 0;
 
     /**

@@ -304,7 +304,6 @@ JobService::execute(const JobPtr &job)
     const JobRequest &request = job->request;
     ExecOptions options = harness::benchOptions();
     options.keepState = true; // state feeds the cache and sampling
-    options.hostThreads = config_.hostThreads;
     options.precision = request.precision;
     options.adaptiveThreshold = request.adaptiveThreshold;
     options.fastMath = request.fastMath;
