@@ -20,27 +20,23 @@ namespace
 /**
  * The live groups of one gate of sweep @p sw (every group without
  * pruning): a group is dead only if every member chunk is provably
- * zero. Counts the gate's processed and pruned chunks and, when
- * pruning, traces the decision as a zero-length marker at @p frontier
- * (host bookkeeping with no modeled cost, but its outcome is the
- * counter the pruning figures are built from).
+ * zero. Liveness is a subset test on the chunk's set bits, and every
+ * member sets bits on top of the group's first one, so the group is
+ * live exactly when its first member is. Counts the gate's processed
+ * and pruned chunks and, when pruning, traces the decision as a
+ * zero-length marker at @p frontier (host bookkeeping with no modeled
+ * cost, but its outcome is the counter the pruning figures are built
+ * from).
  */
 std::vector<Index>
 liveGroups(const GatePlan &gp, const PlanSweep &sw, bool prune,
            StatSet &stats, Trace &trace, VTime frontier)
 {
     std::vector<Index> live;
-    std::vector<Index> members;
     live.reserve(gp.numGroups());
-    for (Index g = 0; g < gp.numGroups(); ++g) {
-        if (prune) {
-            gp.membersInto(g, members);
-            if (std::none_of(members.begin(), members.end(),
-                             [&](Index c) { return sw.chunkLive(c); }))
-                continue;
-        }
-        live.push_back(g);
-    }
+    for (Index g = 0; g < gp.numGroups(); ++g)
+        if (!prune || sw.chunkLive(gp.firstMember(g)))
+            live.push_back(g);
     const double span = gp.chunksPerGroup();
     const double live_chunks = static_cast<double>(live.size()) * span;
     const double pruned_chunks =
@@ -575,7 +571,6 @@ StreamingEngine::executeSharded(const ExecutionPlan &plan,
         };
 
     const std::span<const Gate> all_gates{plan.ordered.gates()};
-    std::vector<Index> member_scratch;
     std::vector<double> dev_groups(num_devs, 0.0);
     for (std::size_t s = 0; s < plan.sweeps.size(); ++s) {
         const PlanSweep &sw = plan.sweeps[s];
@@ -617,11 +612,9 @@ StreamingEngine::executeSharded(const ExecutionPlan &plan,
             for (Index g :
                  liveGroups(gp, sw, plan.prune, stats, result.trace,
                             *std::max_element(dev_t.begin(),
-                                              dev_t.end()))) {
-                gp.membersInto(g, member_scratch);
-                dev_groups[shard.device(member_scratch.front() &
+                                              dev_t.end())))
+                dev_groups[shard.device(gp.firstMember(g) &
                                         ~sweep_mask)] += 1.0;
-            }
             for (int d = 0; d < num_devs; ++d) {
                 if (dev_groups[d] <= 0.0)
                     continue;

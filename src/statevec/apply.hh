@@ -68,6 +68,16 @@ class GatePlan
     /** Chunks per group: 1 << globalBits.size(). */
     int chunksPerGroup() const { return 1 << globalBits_.size(); }
 
+    /**
+     * The lowest member of group @p group: every coupled bit clear.
+     * Each other member only sets coupled bits on top of it.
+     */
+    Index
+    firstMember(Index group) const
+    {
+        return bits::insertZeroBits(group, globalBits_);
+    }
+
     /** Chunk indices belonging to group @p group (ascending). */
     std::vector<Index> members(Index group) const;
 
