@@ -22,18 +22,22 @@ gateGlobalBits(const Gate &gate, int chunk_bits)
 
 Sweep
 nextSweep(std::span<const Gate> gates, std::size_t begin,
-          int chunk_bits, const InvolvementMask *mask)
+          int chunk_bits, const InvolvementMask *mask,
+          std::span<const std::uint64_t> noise_bits)
 {
     if (begin >= gates.size())
         QGPU_PANIC("sweep start ", begin, " past the ", gates.size(),
                    "-gate sequence");
+    if (!noise_bits.empty() && noise_bits.size() < gates.size())
+        QGPU_PANIC("noise_bits covers ", noise_bits.size(),
+                   " of ", gates.size(), " gates");
 
     Sweep sweep;
     sweep.begin = begin;
     sweep.end = begin;
     // Involvement bits already accounted for; rule 3 closes the sweep
-    // after the first gate that adds to this set.
-    std::uint64_t involved = mask ? mask->bits() : 0;
+    // after the first gate that adds to this set, or whose noise can.
+    const std::uint64_t involved = mask ? mask->bits() : 0;
 
     for (std::size_t i = begin; i < gates.size(); ++i) {
         const Gate &gate = gates[i];
@@ -50,42 +54,9 @@ nextSweep(std::span<const Gate> gates, std::size_t begin,
                 gateInvolvementBits(gate, mask->policy()) & ~involved;
             if (add != 0)
                 break; // involvement boundary: gate closes its sweep
+            if (!noise_bits.empty() && (noise_bits[i] & ~involved) != 0)
+                break; // gate's noise can arm a new qubit
         }
-    }
-    return sweep;
-}
-
-Sweep
-nextSweep(std::span<const Gate> gates, std::size_t begin,
-          int chunk_bits, const InvolvementMask *mask,
-          std::span<const std::uint64_t> noise_bits)
-{
-    Sweep sweep = nextSweep(gates, begin, chunk_bits, mask);
-    if (mask == nullptr || noise_bits.empty())
-        return sweep;
-    if (noise_bits.size() < gates.size())
-        QGPU_PANIC("noise_bits covers ", noise_bits.size(),
-                   " of ", gates.size(), " gates");
-    for (std::size_t i = sweep.begin; i < sweep.end; ++i) {
-        if ((noise_bits[i] & ~mask->bits()) == 0)
-            continue;
-        // Gate i's attached noise can arm a new qubit: close the
-        // sweep here (gate i stays its last gate).
-        if (i + 1 < sweep.end) {
-            sweep.end = i + 1;
-            // The truncated range may have lost every cross-chunk
-            // gate; recompute the signature from what remains (all
-            // cross-chunk gates of a sweep share it).
-            sweep.globalBits.clear();
-            for (std::size_t j = sweep.begin; j < sweep.end; ++j) {
-                auto bits = gateGlobalBits(gates[j], chunk_bits);
-                if (!bits.empty()) {
-                    sweep.globalBits = std::move(bits);
-                    break;
-                }
-            }
-        }
-        break;
     }
     return sweep;
 }

@@ -38,6 +38,7 @@
 #define QGPU_SCHED_SWEEP_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -79,15 +80,10 @@ std::vector<int> gateGlobalBits(const Gate &gate, int chunk_bits);
  * @p mask, when given, supplies the involvement state at @p begin and
  * enables rule 3 (the mask is read, never written; callers advance it
  * after executing the sweep). Requires begin < gates.size().
- */
-Sweep nextSweep(std::span<const Gate> gates, std::size_t begin,
-                int chunk_bits,
-                const InvolvementMask *mask = nullptr);
-
-/**
- * Noise-aware variant for the batched-shot planner (engine/batched.hh):
- * @p noise_bits[i] is the qubit-space mask of qubits a stochastic
- * error attached after gate i may touch non-diagonally
+ *
+ * @p noise_bits, for the batched-shot planner (engine/batched.hh),
+ * holds per gate the qubit-space mask of qubits a stochastic error
+ * attached after gate i may touch non-diagonally
  * (noise::NoiseModel::touchableBits). Rule 3 extends to these
  * *potential* involvement additions — a gate whose attached noise can
  * arm a not-yet-involved qubit is the LAST gate of its sweep, so
@@ -99,12 +95,11 @@ Sweep nextSweep(std::span<const Gate> gates, std::size_t begin,
  * sub-span of a sweep executed with the sweep's globalBits satisfies
  * every applySweepChunked precondition. Without @p mask (pruning
  * off) noise never invalidates anything and the rule is inert.
- *
  * @p noise_bits must cover gates.size() entries when non-empty.
  */
 Sweep nextSweep(std::span<const Gate> gates, std::size_t begin,
-                int chunk_bits, const InvolvementMask *mask,
-                std::span<const std::uint64_t> noise_bits);
+                int chunk_bits, const InvolvementMask *mask = nullptr,
+                std::span<const std::uint64_t> noise_bits = {});
 
 /**
  * Partition the whole gate sequence into consecutive maximal sweeps.
