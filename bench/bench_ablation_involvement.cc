@@ -30,23 +30,23 @@ main()
         const Circuit c = circuits::makeBenchmark(family, n);
 
         Machine m1 = bench::machineFor(n);
-        ExecOptions per_op = bench::benchOptions();
+        ExecOptions per_op = harness::benchOptions();
         per_op.recordTrace = true;
         const RunResult r1 = harness::runOn("qgpu", m1, c, per_op);
         bench::maybeEmitPhaseCsv(r1, family, n);
 
         Machine m2 = bench::machineFor(n);
-        ExecOptions sharp = bench::benchOptions();
+        ExecOptions sharp = harness::benchOptions();
         sharp.involvement = InvolvementPolicy::NonDiagonal;
         const RunResult r2 = harness::runOn("qgpu", m2, c, sharp);
 
         Machine m3 = bench::machineFor(n);
-        ExecOptions fixed = bench::benchOptions();
+        ExecOptions fixed = harness::benchOptions();
         fixed.dynamicChunks = false;
         const RunResult r3 = harness::runOn("qgpu", m3, c, fixed);
 
         Machine m4 = bench::machineFor(n);
-        ExecOptions fused = bench::benchOptions();
+        ExecOptions fused = harness::benchOptions();
         fused.fuseWidth = 4;
         const RunResult r4 = harness::runOn("qgpu", m4, c, fused);
 

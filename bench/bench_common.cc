@@ -49,15 +49,6 @@ machineFor(int n, DeviceSpec gpu, int num_gpus)
                                 paperQubits(n));
 }
 
-ExecOptions
-benchOptions()
-{
-    ExecOptions o;
-    o.keepState = false;
-    o.codecSampleChunks = 4;
-    return o;
-}
-
 namespace
 {
 
@@ -77,7 +68,7 @@ RunResult
 run(const std::string &which, const std::string &family, int n,
     Machine &machine)
 {
-    ExecOptions o = benchOptions();
+    ExecOptions o = harness::benchOptions();
     o.recordTrace = true;
     const RunResult result = harness::runOn(
         which, machine, circuits::makeBenchmark(family, n), o);

@@ -43,9 +43,6 @@ int paperQubits(int n);
 Machine machineFor(int n, DeviceSpec gpu = machines::p100(),
                    int num_gpus = 1);
 
-/** Bench-default options (no state retention, sampled codec). */
-ExecOptions benchOptions();
-
 /**
  * Run engine @p which on family @p family at sweep point @p n. The
  * run records an execution trace; when the QGPU_BENCH_TRACE

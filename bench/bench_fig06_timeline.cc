@@ -25,7 +25,7 @@ main()
     for (const char *engine :
          {"baseline", "naive", "overlap", "pruning", "qgpu"}) {
         Machine m = bench::machineFor(n);
-        ExecOptions o = bench::benchOptions();
+        ExecOptions o = harness::benchOptions();
         o.recordTrace = true;
         const RunResult r = harness::runOn(
             engine, m, circuits::makeBenchmark("gs", n), o);

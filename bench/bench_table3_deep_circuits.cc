@@ -45,7 +45,7 @@ main()
                 : circuits::rqc(row.n, row.cycles, 11);
         Machine m1 = bench::machineFor(row.n);
         Machine m2 = bench::machineFor(row.n);
-        ExecOptions o = bench::benchOptions();
+        ExecOptions o = harness::benchOptions();
         o.recordTrace = true;
         const RunResult overlap_run = harness::runOn("overlap", m1, c, o);
         const RunResult reorder_run = harness::runOn("reorder", m2, c, o);

@@ -111,7 +111,6 @@ benchOptions()
 {
     ExecOptions o;
     o.keepState = false;
-    o.codecSampleChunks = 4;
     return o;
 }
 

@@ -65,7 +65,7 @@ void writeRunReport(const RunResult &result, const std::string &path);
  */
 Machine benchMachine(int num_qubits, int num_gpus = 1);
 
-/** Bench default options: fewer codec samples, no state retention. */
+/** Bench default options: no state retention. */
 ExecOptions benchOptions();
 
 } // namespace harness
