@@ -261,17 +261,19 @@ BM_KindDispatchAvx2(benchmark::State &bench_state)
 BENCHMARK(BM_KindDispatchAvx2)->DenseRange(0, numKernelKinds - 1);
 
 /**
- * Fast-math tier of the same specialized kernels: contracted-FMA /
- * wider-vector codegen when the build compiled the fast TU
- * (QGPU_FAST_MATH=ON); otherwise kernfast compiles to the exact
- * kernels and the row's label says so. The delta over the exact rows
- * is what --fast-math buys per kernel kind on this machine.
+ * The fast-math copy of the same kernels (kernfast::, x86-64-v3 with
+ * contracted FMA): what applyKernel runs for Fast specs on x86-64-v3
+ * hosts. The delta over the AVX2 rows is what --fast-math buys per
+ * kernel kind on this machine.
  */
 void
 BM_KindDispatchFast(benchmark::State &bench_state)
 {
-    runKindDispatch(bench_state, kernfast::dispatch,
-                    fastMathCompiled() ? "fma" : "exact-fallback");
+    if (std::string_view(fastKernels().isa) != "x86-64-v3") {
+        bench_state.SkipWithError("host has no x86-64-v3");
+        return;
+    }
+    runKindDispatch(bench_state, kernfast::dispatch, "x86-64-v3");
 }
 BENCHMARK(BM_KindDispatchFast)->DenseRange(0, numKernelKinds - 1);
 

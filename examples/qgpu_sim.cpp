@@ -323,14 +323,11 @@ main(int argc, char **argv)
     if (args.working_set > 0)
         options.workingSetChunks = static_cast<Index>(args.working_set);
     options.spillDir = args.spill_dir;
-    const std::string exact_label =
-        std::string("exact(") + exactKernels().isa + ")";
-    std::printf("tiers:   kernels=%s, precision=%s, "
+    const KernelCopy &copy =
+        options.fastMath ? fastKernels() : exactKernels();
+    std::printf("tiers:   kernels=%s(%s), precision=%s, "
                 "chunk-storage=%s\n",
-                options.fastMath
-                    ? (fastMathCompiled() ? "fast-math(compiled)"
-                                          : "fast-math(fallback-exact)")
-                    : exact_label.c_str(),
+                options.fastMath ? "fast-math" : "exact", copy.isa,
                 precisionName(options.precision),
                 storageKindName(options.storage));
 

@@ -174,24 +174,39 @@ applyKernel(const KernelSpec &spec, Amp *data, int num_qubits,
     end = std::min(end, kernelWorkItems(spec, num_qubits));
     if (begin >= end)
         return;
-    if (spec.tier == KernelTier::Fast)
-        kernfast::dispatch(spec, data, num_qubits, begin, end);
-    else
-        exactKernels().dispatch(spec, data, num_qubits, begin, end);
+    const KernelCopy &copy =
+        spec.tier == KernelTier::Fast ? fastKernels() : exactKernels();
+    copy.dispatch(spec, data, num_qubits, begin, end);
 }
 
-const ExactKernels &
+const KernelCopy &
 exactKernels()
 {
-    static const ExactKernels selected = [] {
+    static const KernelCopy selected = [] {
 #if defined(__x86_64__)
         __builtin_cpu_init();
         if (__builtin_cpu_supports("avx2"))
-            return ExactKernels{"avx2", kernavx2::scale, kernavx2::diag1,
-                                kernavx2::diag2, kernavx2::dispatch};
+            return KernelCopy{"avx2", kernavx2::scale, kernavx2::diag1,
+                              kernavx2::diag2, kernavx2::dispatch};
 #endif
-        return ExactKernels{"sse2", kern::scale, kern::diag1,
-                            kern::diag2, kern::dispatch};
+        return KernelCopy{"sse2", kern::scale, kern::diag1, kern::diag2,
+                          kern::dispatch};
+    }();
+    return selected;
+}
+
+const KernelCopy &
+fastKernels()
+{
+    static const KernelCopy selected = [] {
+#if defined(__x86_64__)
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("x86-64-v3"))
+            return KernelCopy{"x86-64-v3", kernfast::scale,
+                              kernfast::diag1, kernfast::diag2,
+                              kernfast::dispatch};
+#endif
+        return exactKernels();
     }();
     return selected;
 }

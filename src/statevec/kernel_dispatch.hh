@@ -13,7 +13,8 @@
  * The kernels are written once, in kernel_body.inc, and compiled
  * three times: kern:: and kernavx2:: are the exact tier at baseline
  * and AVX2 width (exactKernels() picks one per process), kernfast::
- * the fast-math tier (see KernelTier). kernels.hh remains the
+ * the fast-math tier at x86-64-v3 (fastKernels() picks it or the
+ * exact copy; see KernelTier). kernels.hh remains the
  * reference implementation; the differential suite
  * (tests/test_kernel_dispatch.cc) asserts every exact-tier kernel is
  * bit-identical (tolerance 0) to it, and the two exact copies to each
@@ -72,11 +73,11 @@ const char *kernelKindName(KernelKind kind);
  * Execution tier a spec is lowered for. The kernels are written once,
  * in kernel_body.inc. @c Exact runs the copy exactKernels() selected
  * (kern:: or kernavx2::), bit-identical (tolerance 0) to kernels.hh
- * for finite amplitudes. @c Fast runs the kernfast::
- * compilation (kernel_fast.cc, -ffp-contract=fast and the host's
- * FMA/AVX-512 sets under CMake option QGPU_FAST_MATH): same
- * arithmetic, contracted rounding, accuracy-bounded at 1e-12 against
- * Exact by the differential suites.
+ * for finite amplitudes. @c Fast runs the copy fastKernels() selected:
+ * the kernfast:: compilation (kernel_fast.cc, x86-64-v3 with FMA and
+ * -ffp-contract=fast: same arithmetic, contracted rounding) where the
+ * CPU has x86-64-v3, the exact copy elsewhere. Either way it is
+ * accuracy-bounded at 1e-12 against Exact by the differential suites.
  *
  * The tier is a per-run value, never a process global: engines pass
  * ExecOptions::fastMath down to makeKernelSpec, so runs on different
@@ -88,14 +89,6 @@ enum class KernelTier
     Exact,
     Fast,
 };
-
-/**
- * True when kernel_fast.cc was compiled with the fast-math flag set
- * (QGPU_FAST_MATH=ON). When false the Fast tier still dispatches to
- * kernfast::, which then compiles under the default flags and meets
- * the 1e-12 contract trivially.
- */
-bool fastMathCompiled();
 
 /**
  * A gate lowered to its kernel class: targets pre-sorted, control
@@ -222,14 +215,26 @@ void dispatch(const KernelSpec &spec, Amp *data, int num_qubits,
 } // namespace kernavx2
 
 /**
- * The exact-tier entries this process runs, chosen once on first use:
- * kernavx2:: when the CPU reports AVX2, kern:: otherwise. Every
- * exact-tier kernel call goes through it (applyKernel and the chunked
- * diagonal path).
+ * The fast-tier kernels compiled in kernel_fast.cc (x86-64:
+ * -march=x86-64-v3 -mfma -ffp-contract=fast). Only run them where
+ * fastKernels() selected them or the CPU otherwise reports x86-64-v3.
  */
-struct ExactKernels
+namespace kernfast
 {
-    /** Instruction set of the selected copy: "avx2" or "sse2". */
+
+void scale(Amp *data, Amp f, Index begin, Index end);
+void diag1(Amp *data, int t, Amp d0, Amp d1, Index begin, Index end);
+void diag2(Amp *data, int t_lo, int t_hi, const Amp *lut,
+           Index begin, Index end);
+void dispatch(const KernelSpec &spec, Amp *data, int num_qubits,
+              Index begin, Index end);
+
+} // namespace kernfast
+
+/** The entries of one kernel copy, as a tier's selector picked it. */
+struct KernelCopy
+{
+    /** Instruction set of the copy: "x86-64-v3", "avx2" or "sse2". */
     const char *isa;
     decltype(&kern::scale) scale;
     decltype(&kern::diag1) diag1;
@@ -237,21 +242,20 @@ struct ExactKernels
     decltype(&kern::dispatch) dispatch;
 };
 
-/** The selected exact-tier copy (probes the CPU on the first call). */
-const ExactKernels &exactKernels();
+/**
+ * The exact-tier copy this process runs, chosen once on first use:
+ * kernavx2:: when the CPU reports AVX2, kern:: otherwise. Every
+ * exact-tier kernel call goes through it (applyKernel and the chunked
+ * diagonal path).
+ */
+const KernelCopy &exactKernels();
 
 /**
- * The same kernels compiled in kernel_fast.cc under the fast-math
- * flags (see KernelTier). Only the dispatch entry is exposed.
+ * The fast-tier copy this process runs, chosen once on first use:
+ * kernfast:: when the CPU reports x86-64-v3, exactKernels() otherwise.
+ * applyKernel runs it for Fast specs.
  */
-namespace kernfast
-{
-
-/** kern::dispatch, fast-tier compilation. */
-void dispatch(const KernelSpec &spec, Amp *data, int num_qubits,
-              Index begin, Index end);
-
-} // namespace kernfast
+const KernelCopy &fastKernels();
 
 } // namespace qgpu
 

@@ -1,23 +1,20 @@
 /**
  * @file
  * Fast-tier kernels: kernel_body.inc compiled once more, inside
- * namespace kernfast, in a translation unit the build hands
- * -ffp-contract=fast plus the host's FMA/AVX-512 instruction sets
- * (CMake option QGPU_FAST_MATH) while the exact tier in
- * kernel_dispatch.cc and kernel_avx2.cc keeps the
- * bit-identity-preserving code generation.
+ * namespace kernfast. On x86-64 the build gives this file alone
+ * -march=x86-64-v3 -mfma -ffp-contract=fast (see
+ * src/statevec/CMakeLists.txt), and fastKernels() selects it when the
+ * CPU reports x86-64-v3; elsewhere the Fast tier runs the exact copy.
  *
- * The speedup comes from the code generation, not a different
- * algorithm: under contraction GCC fuses each complex multiply-add's
- * mul/add pairs into vfmaddsub/vfmsubadd FMAs. Each fused step rounds
- * once instead of twice, so outputs differ from the exact tier by at
- * most one ulp per fused pair; the differential suites bound the
- * end-to-end effect at 1e-12.
+ * What differs is the code generation, not the algorithm: under
+ * contraction GCC fuses each complex multiply-add's mul/add pairs into
+ * vfmaddsub/vfmsubadd FMAs. Each fused step rounds once instead of
+ * twice, so outputs differ from the exact tier by at most one ulp per
+ * fused pair; the differential suites bound the end-to-end effect at
+ * 1e-12.
  *
- * If QGPU_FAST_MATH is OFF this file compiles under the default flags
- * and the Fast tier degenerates into a second exact tier (the 1e-12
- * contract holds trivially); fastMathCompiled() tells callers which
- * one they got.
+ * On other architectures the file compiles under the default flags
+ * and is never selected.
  */
 
 #include <algorithm>
@@ -28,20 +25,8 @@
 
 namespace qgpu
 {
-
-bool
-fastMathCompiled()
-{
-#ifdef QGPU_FAST_MATH_COMPILED
-    return true;
-#else
-    return false;
-#endif
-}
-
 namespace kernfast
 {
 #include "statevec/kernel_body.inc"
 } // namespace kernfast
-
 } // namespace qgpu

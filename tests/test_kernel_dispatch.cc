@@ -490,7 +490,7 @@ TEST(KernelDispatch, Avx2CopyMatchesBaselineBitExact)
 /** The selector runs the AVX2 copy exactly where the CPU has AVX2. */
 TEST(KernelDispatch, SelectsAvx2CopyWhereSupported)
 {
-    const ExactKernels &exact = exactKernels();
+    const KernelCopy &exact = exactKernels();
 #if defined(__x86_64__)
     const bool avx2 = __builtin_cpu_supports("avx2");
 #else
@@ -499,6 +499,41 @@ TEST(KernelDispatch, SelectsAvx2CopyWhereSupported)
     EXPECT_STREQ(exact.isa, avx2 ? "avx2" : "sse2");
     EXPECT_EQ(exact.dispatch, avx2 ? &kernavx2::dispatch : &kern::dispatch);
     EXPECT_EQ(exact.diag1, avx2 ? &kernavx2::diag1 : &kern::diag1);
+}
+
+/**
+ * The fast tier runs kernfast:: exactly where the CPU has x86-64-v3,
+ * and the selected exact copy elsewhere; applyKernel routes each
+ * tier's specs through its selector.
+ */
+TEST(KernelDispatch, SelectsFastCopyWhereSupported)
+{
+    const KernelCopy &exact = exactKernels();
+    const KernelCopy &fast = fastKernels();
+#if defined(__x86_64__)
+    const bool v3 = __builtin_cpu_supports("x86-64-v3");
+#else
+    const bool v3 = false;
+#endif
+    EXPECT_STREQ(fast.isa, v3 ? "x86-64-v3" : exact.isa);
+    EXPECT_EQ(fast.dispatch, v3 ? &kernfast::dispatch : exact.dispatch);
+    EXPECT_EQ(fast.diag1, v3 ? &kernfast::diag1 : exact.diag1);
+
+    const int n = 8;
+    const std::vector<Amp> init = edgeAmps(n, 5);
+    const Gate gate(GateKind::RX, {3}, {0.3});
+    for (const KernelCopy *copy : {&exact, &fast}) {
+        const KernelSpec spec = makeKernelSpec(
+            gate, copy == &fast ? KernelTier::Fast : KernelTier::Exact);
+        std::vector<Amp> routed = init, direct = init;
+        applyKernel(spec, routed.data(), n);
+        copy->dispatch(spec, direct.data(), n, 0,
+                       kernelWorkItems(spec, n));
+        EXPECT_EQ(std::memcmp(routed.data(), direct.data(),
+                              routed.size() * sizeof(Amp)),
+                  0)
+            << copy->isa;
+    }
 }
 
 TEST(KernelDispatch, PublishesPerKindMetrics)
